@@ -3,8 +3,8 @@
 PYTHON ?= python
 
 .PHONY: install test test-verbose bench bench-smoke bench-tenants \
-	bench-tenants-smoke chaos-smoke fleet-smoke examples artifacts lint \
-	lint-json clean
+	bench-tenants-smoke chaos-smoke fleet-smoke perfbench-smoke examples \
+	artifacts lint lint-json clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -53,6 +53,18 @@ chaos-smoke:
 # in-process E7 simulation (see benchmarks/bench_fleet.py).
 fleet-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_fleet.py --smoke
+
+# CI service-benchmark smoke: a 2-second run of each workload declared in
+# BENCHMARK.json through a real `repro serve` subprocess; fails when a run
+# exits non-zero, i.e. when its correctness gate (answers and pulled
+# states equal to an in-process reference replay) does not pass.
+PERFBENCH_WORKLOADS = window-ingest fresh-query tenant-churn
+
+perfbench-smoke:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		echo "== perfbench $$w"; \
+		$(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
+	done
 
 examples:
 	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f || exit 1; done

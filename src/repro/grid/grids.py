@@ -112,10 +112,23 @@ class PointCodec:
         return np.array(_decode_key(key, self.base, self.d), dtype=np.int64)
 
     def decode_many(self, keys) -> np.ndarray:
-        """Decode a sequence of keys to an (n, d) point array."""
-        if len(keys) == 0:
-            return np.empty((0, self.d), dtype=np.int64)
-        return np.stack([self.decode(k) for k in keys])
+        """Decode a sequence of keys to an (n, d) point array (vectorized
+        mixed-radix inverse of :meth:`encode`; bigint keys decode through
+        object arithmetic)."""
+        if not isinstance(keys, np.ndarray):
+            try:
+                keys = np.asarray(keys, dtype=np.int64)
+            except (OverflowError, TypeError, ValueError):
+                keys = np.array([int(k) for k in keys], dtype=object)
+        out = np.empty((len(keys), self.d), dtype=np.int64)
+        rest = keys
+        for j in range(self.d - 1, -1, -1):
+            out[:, j] = rest % self.base
+            rest = rest // self.base
+        if len(keys) and (np.asarray(rest != 0, dtype=bool).any()
+                          or np.asarray(keys < 0, dtype=bool).any()):
+            raise ValueError(f"keys out of range for base {self.base}, d={self.d}")
+        return out
 
 
 class HierarchicalGrids:

@@ -23,6 +23,7 @@ from repro.core.params import CoresetParams
 from repro.service.shards import ShardedIngest
 from repro.service.state import (
     STATE_FORMAT_VERSION,
+    check_format_version,
     sharded_state_from_dict,
     write_checkpoint,
 )
@@ -304,10 +305,7 @@ class ClusteringService:
         other fields (the tenant registry reads its stamped ``tenant``
         block) can parse the JSON once.
         """
-        if payload.get("format_version") != STATE_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported service checkpoint format {payload.get('format_version')!r}"
-            )
+        check_format_version(payload, "service checkpoint")
         config = ServiceConfig.from_dict(payload["config"])
         if config.workers > 0:
             ingest = _pool_class(config).from_state_dict(payload["ingest"])

@@ -11,29 +11,38 @@ hash polynomials, sketch layouts) is derived deterministically from
 
 1. the construction arguments (params dict, seed, backend, guess window,
    ``prefer``, ``auto_pilot``), and
-2. the *data* the stream wrote: per-instance Storing contents, the pilot
-   ℓ₀-sampler buckets, the update counter, and any early-kill verdicts.
+2. the *data* the stream wrote: on the exact backend the live-point table
+   (sorted point keys with their nonzero counts — one table however many
+   guesses run), on the sketch backend every guess's Storing sketches;
+   plus the pilot ℓ₀-sampler buckets and the update counter.
 
 Restore rebuilds the driver from the arguments — regenerating identical
 randomness — and pours the data back in.  The round trip is bit-identical:
 ``finalize()`` on the restored driver replays the same decode on the same
-sketch contents.  Everything is JSON (Python's ``json`` round-trips the
-arbitrary-precision integers our point/cell keys need), so checkpoints are
-portable and diffable.
+contents.  The exact table is canonical (a function of the surviving
+multiset alone), so two drivers that saw different streams with the same
+survivors serialize it to the same bytes.  Everything is JSON (Python's
+``json`` round-trips the arbitrary-precision integers our point/cell keys
+need), so checkpoints are portable and diffable.
+
+Format 1 stored one exact Storing structure per (guess, level, sub-stream).
+It is still read: the table is rebuilt from the point pairs of a live
+guess's ĥ store at a level whose rate φ is 1 (that store saw every update),
+and a format-1 state without such a store is refused.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from urllib.parse import quote, unquote
 
 from repro.core.io import atomic_write_json, params_from_dict, params_to_dict
 from repro.service.faults import fault_point
-from repro.streaming.storing import ExactStoring, SketchStoring
+from repro.streaming.storing import SketchStoring
 from repro.streaming.streaming_coreset import StreamingCoreset
 
 __all__ = [
     "STATE_FORMAT_VERSION",
+    "check_format_version",
     "streaming_state_to_dict",
     "streaming_state_from_dict",
     "build_sharded_state_dict",
@@ -44,7 +53,10 @@ __all__ = [
     "write_checkpoint",
 ]
 
-STATE_FORMAT_VERSION = 1
+STATE_FORMAT_VERSION = 2
+
+#: Formats :func:`check_format_version` accepts (1: per-guess exact stores).
+_READABLE_FORMAT_VERSIONS = (1, STATE_FORMAT_VERSION)
 
 #: Prefix of per-tenant checkpoint files inside a ``--tenants-dir``.
 _TENANT_FILE_PREFIX = "tenant-"
@@ -91,55 +103,70 @@ def write_checkpoint(path, payload: dict) -> None:
     atomic_write_json(path, payload)
 
 
+def check_format_version(data: dict, what: str) -> int:
+    """Return ``data``'s format version, refusing any this module cannot read."""
+    version = data.get("format_version")
+    if version not in _READABLE_FORMAT_VERSIONS:
+        raise ValueError(f"unsupported {what} format {version!r}")
+    return version
+
+
 # ---------------------------------------------------------------- storing
-def _storing_to_dict(store) -> dict:
-    """Serialize one Storing structure's *contents* (layout is seed-derived)."""
-    if isinstance(store, ExactStoring):
-        return {
-            "kind": "exact",
-            "cells": [[int(c), int(n)] for c, n in store._cells.items()],  # repro-lint: disable=DET104 sorted-by-key snapshot property
-            "points": [
-                [int(cell), [[int(p), int(n)] for p, n in pts.items()]]  # repro-lint: disable=DET104 sorted-by-(cell,point) snapshot property
-                for cell, pts in store._points.items()  # repro-lint: disable=DET104 sorted-by-cell snapshot property
-            ],
-        }
-    if isinstance(store, SketchStoring):
-        return {
-            "kind": "sketch",
-            "cells": [[r, p, b[0], int(b[1]), int(b[2])]
-                      for (r, p), b in store._cells.buckets.items()],  # repro-lint: disable=DET104 first-touch bucket order IS the checkpoint byte contract
-            "nested": [
-                [r, p, [[r2, p2, b[0], int(b[1]), int(b[2])]
-                        for (r2, p2), b in sk.buckets.items()]]  # repro-lint: disable=DET104 first-touch bucket order IS the checkpoint byte contract
-                for (r, p), sk in store._nested.items()  # repro-lint: disable=DET104 first-touch nested order mirrors sequential-ingest creation order
-            ],
-        }
-    raise TypeError(f"unknown Storing type {type(store)!r}")
+def _buckets_to_list(buckets: dict) -> list:
+    """IBLT buckets as ``[row, pos, count, keysum, fpsum]`` rows."""
+    return [[r, p, b[0], int(b[1]), int(b[2])]
+            for (r, p), b in buckets.items()]  # repro-lint: disable=DET104 first-touch bucket order IS the checkpoint byte contract
 
 
-def _storing_from_dict(store, data: dict) -> None:
+def _buckets_from_list(rows: list) -> dict:
+    return {(r, p): [c, ks, fs] for r, p, c, ks, fs in rows}
+
+
+def _storing_to_dict(store: SketchStoring) -> dict:
+    """Serialize one sketch Storing structure's *contents* (layout is
+    seed-derived)."""
+    return {
+        "kind": "sketch",
+        "cells": _buckets_to_list(store._cells.buckets),
+        "nested": [
+            [r, p, _buckets_to_list(sk.buckets)]
+            for (r, p), sk in store._nested.items()  # repro-lint: disable=DET104 first-touch nested order mirrors sequential-ingest creation order
+        ],
+    }
+
+
+def _storing_from_dict(store: SketchStoring, data: dict) -> None:
     """Pour serialized contents back into a freshly constructed Storing."""
-    if isinstance(store, ExactStoring):
-        if data["kind"] != "exact":
-            raise ValueError("checkpoint backend mismatch (expected exact)")
-        store._cells = Counter({int(c): int(n) for c, n in data["cells"]})
-        store._points = {
-            int(cell): Counter({int(p): int(n) for p, n in pts})
-            for cell, pts in data["points"]
-        }
-        return
-    if isinstance(store, SketchStoring):
-        if data["kind"] != "sketch":
-            raise ValueError("checkpoint backend mismatch (expected sketch)")
-        store._cells.buckets = {
-            (r, p): [c, ks, fs] for r, p, c, ks, fs in data["cells"]
-        }
-        store._nested = {}
-        for r, p, buckets in data["nested"]:
-            sk = store._nested_at(r, p)
-            sk.buckets = {(r2, p2): [c, ks, fs] for r2, p2, c, ks, fs in buckets}
-        return
-    raise TypeError(f"unknown Storing type {type(store)!r}")
+    if data["kind"] != "sketch":
+        raise ValueError("checkpoint backend mismatch (expected sketch)")
+    store._cells.buckets = _buckets_from_list(data["cells"])
+    store._nested = {}
+    for r, p, buckets in data["nested"]:
+        store._nested_at(r, p).buckets = _buckets_from_list(buckets)
+
+
+def _table_from_v1(sc: StreamingCoreset, records: list) -> None:
+    """Rebuild the live table from a format-1 exact state.
+
+    A live guess's ĥ store at a level with φ = 1 sampled every update, so
+    its (cell, point) pairs are exactly the surviving multiset.  A guess
+    the old early kill stopped froze mid-stream and cannot serve.
+    """
+    for inst, rec in zip(sc.instances, records):
+        if rec.get("dead_reason") is not None:
+            continue
+        for i, store in enumerate(rec["store_hhat"]):
+            if sc.params.phi(i, inst.o) < 1.0:
+                continue
+            if store["kind"] != "exact":
+                raise ValueError("checkpoint backend mismatch (expected exact)")
+            pairs = [pair for _, pts in store["points"] for pair in pts]
+            sc.live.table.load([p for p, _ in pairs], [n for _, n in pairs])
+            return
+    raise ValueError(
+        "format-1 exact checkpoint has no live guess with a phi=1 point store, "
+        "so its surviving point set cannot be rebuilt; re-ingest the stream "
+        "into a fresh service instead")
 
 
 # ------------------------------------------------------------- one driver
@@ -147,19 +174,19 @@ def streaming_state_to_dict(sc: StreamingCoreset) -> dict:
     """Full JSON-safe state of one :class:`StreamingCoreset`."""
     instances = []
     for inst in sc.instances:
-        instances.append({
-            "o": inst.o,
-            "dead_reason": inst.dead_reason,
-            "store_h": [_storing_to_dict(s) for s in inst.store_h],
-            "store_hp": [_storing_to_dict(s) for s in inst.store_hp],
-            "store_hhat": [_storing_to_dict(s) for s in inst.store_hhat],
-        })
+        rec = {"o": inst.o}
+        if sc.live is None:
+            rec["store_h"] = [_storing_to_dict(s) for s in inst.store_h]
+            rec["store_hp"] = [_storing_to_dict(s) for s in inst.store_hp]
+            rec["store_hhat"] = [_storing_to_dict(s) for s in inst.store_hhat]
+        instances.append(rec)
+    table = None
+    if sc.live is not None:
+        keys, counts = sc.live.table.contents()
+        table = {"keys": keys.tolist(), "counts": counts.tolist()}
     pilot = None
     if sc._pilot_sampler is not None:
-        pilot = [
-            [[r, p, b[0], int(b[1]), int(b[2])] for (r, p), b in sk.buckets.items()]  # repro-lint: disable=DET104 first-touch bucket order IS the checkpoint byte contract
-            for sk in sc._pilot_sampler._sketches
-        ]
+        pilot = [_buckets_to_list(sk.buckets) for sk in sc._pilot_sampler._sketches]
     return {
         "format_version": STATE_FORMAT_VERSION,
         "params": params_to_dict(sc.params),
@@ -170,6 +197,7 @@ def streaming_state_to_dict(sc: StreamingCoreset) -> dict:
         "auto_pilot": sc.auto_pilot,
         "num_updates": sc.num_updates,
         "instances": instances,
+        "table": table,
         "pilot": pilot,
     }
 
@@ -180,12 +208,10 @@ def streaming_state_from_dict(data: dict) -> StreamingCoreset:
     The driver is reconstructed from its arguments (regenerating identical
     grids and hash polynomials), then the sketch contents are restored, so
     the result is indistinguishable from the checkpointed original — it can
-    keep ingesting, merge with sibling shards, and finalize.
+    keep ingesting, merge with sibling shards, and finalize.  Format-1
+    states are read too (see the module docstring).
     """
-    if data.get("format_version") != STATE_FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported streaming-state format {data.get('format_version')!r}"
-        )
+    version = check_format_version(data, "streaming-state")
     params = params_from_dict(data["params"])
     o_range = tuple(data["o_range"]) if data["o_range"] is not None else None
     sc = StreamingCoreset(
@@ -202,22 +228,27 @@ def streaming_state_from_dict(data: dict) -> StreamingCoreset:
         raise ValueError(
             f"checkpoint guess schedule {want} does not match rebuilt {got}"
         )
-    for inst, rec in zip(sc.instances, data["instances"]):
-        inst.dead_reason = rec["dead_reason"]
-        for group, payload in (
-            (inst.store_h, rec["store_h"]),
-            (inst.store_hp, rec["store_hp"]),
-            (inst.store_hhat, rec["store_hhat"]),
-        ):
-            if len(group) != len(payload):
-                raise ValueError("checkpoint level count mismatch")
-            for store, d in zip(group, payload):
-                _storing_from_dict(store, d)
+    if sc.live is not None:
+        if version == 1:
+            _table_from_v1(sc, data["instances"])
+        else:
+            sc.live.table.load(data["table"]["keys"], data["table"]["counts"])
+    else:
+        for inst, rec in zip(sc.instances, data["instances"]):
+            for group, payload in (
+                (inst.store_h, rec["store_h"]),
+                (inst.store_hp, rec["store_hp"]),
+                (inst.store_hhat, rec["store_hhat"]),
+            ):
+                if len(group) != len(payload):
+                    raise ValueError("checkpoint level count mismatch")
+                for store, d in zip(group, payload):
+                    _storing_from_dict(store, d)
     if data["pilot"] is not None:
         if sc._pilot_sampler is None:
             raise ValueError("checkpoint has pilot state but rebuilt driver has none")
         for sk, buckets in zip(sc._pilot_sampler._sketches, data["pilot"]):
-            sk.buckets = {(r, p): [c, ks, fs] for r, p, c, ks, fs in buckets}
+            sk.buckets = _buckets_from_list(buckets)
     sc.num_updates = int(data["num_updates"])
     return sc
 
@@ -259,10 +290,7 @@ def sharded_state_from_dict(data: dict):
     :func:`sharded_state_to_dict`)."""
     from repro.service.shards import ShardedIngest
 
-    if data.get("format_version") != STATE_FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported sharded-state format {data.get('format_version')!r}"
-        )
+    check_format_version(data, "sharded-state")
     shards = [streaming_state_from_dict(rec) for rec in data["shards"]]
     if len(shards) != int(data["num_shards"]):
         raise ValueError("checkpoint shard count mismatch")

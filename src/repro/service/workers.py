@@ -40,8 +40,8 @@ from repro.grid.grids import PointCodec
 from repro.service.faults import InjectedFault, fault_point
 from repro.service.shards import _mix, _mix_array
 from repro.service.state import (
-    STATE_FORMAT_VERSION,
     build_sharded_state_dict,
+    check_format_version,
     streaming_state_from_dict,
     streaming_state_to_dict,
 )
@@ -362,10 +362,7 @@ class WorkerPoolIngest:
                         ) -> "WorkerPoolIngest":
         """Rebuild a pool from a sharded checkpoint (workers load their
         shard state at startup)."""
-        if data.get("format_version") != STATE_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported sharded-state format {data.get('format_version')!r}"
-            )
+        check_format_version(data, "sharded-state")
         shards = data["shards"]
         if len(shards) != int(data["num_shards"]):
             raise ValueError("checkpoint shard count mismatch")

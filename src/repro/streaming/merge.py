@@ -7,6 +7,10 @@ stream.  This is the streaming↔distributed bridge the paper exploits in
 Section 4.3 — here exposed directly so users can shard a stream across
 workers and merge, or combine checkpointed states.
 
+On the exact backend the merge is one concatenation of the live-point
+tables plus a compaction; on the sketch backend every per-guess sketch is
+added to its sibling.
+
 Requirements (checked): identical parameters, identical seeds (same grids,
 hash polynomials, and sketch layouts), same backend.
 """
@@ -58,7 +62,7 @@ def merge_streaming_states(a: StreamingCoreset, b: StreamingCoreset) -> Streamin
     ob = [inst.o for inst in b.instances]
     if oa != ob:
         raise ValueError("cannot merge: different guess schedules")
-    if any(x.backend != y.backend for x, y in zip(a.instances, b.instances)):
+    if a.backend != b.backend:
         raise ValueError("cannot merge: different backends")
     # Same seed ⇒ same grid shift; cheap proxy check on the shift vector.
     import numpy as np
@@ -66,8 +70,9 @@ def merge_streaming_states(a: StreamingCoreset, b: StreamingCoreset) -> Streamin
     if not np.allclose(a.grids.shift, b.grids.shift):
         raise ValueError("cannot merge: different grid randomness (seeds differ)")
 
+    if a.live is not None:
+        a.live.table.merge_from(b.live.table)
     for ia, ib in zip(a.instances, b.instances):
-        ia.dead_reason = ia.dead_reason or ib.dead_reason
         for ga, gb in ((ia.store_h, ib.store_h), (ia.store_hp, ib.store_hp),
                        (ia.store_hhat, ib.store_hhat)):
             for sa, sb in zip(ga, gb):

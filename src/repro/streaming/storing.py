@@ -12,7 +12,7 @@ and it must not FAIL (w.h.p.) whenever the number of non-empty cells is ≤ α.
 Two interchangeable implementations:
 
 - :class:`ExactStoring` — a dictionary (reference semantics; linear space in
-  the live set, used for fast experiments and as the test oracle);
+  the live set, the standalone test oracle);
 - :class:`SketchStoring` — the true sublinear linear sketch: a cell-level
   IBLT of capacity α whose every (row, bucket) slot carries a *nested* point
   IBLT of capacity β (all nested sketches share one hash family; their
@@ -21,6 +21,12 @@ Two interchangeable implementations:
   recoverable from that slot's nested sketch.  Updates are linear, so
   insertions and deletions in any order work — the property Theorem 4.5
   needs.
+
+The streaming driver's exact backend does not keep one ``ExactStoring`` per
+(guess, level, sub-stream): every guess samples the same surviving multiset
+with its own thresholds, so it keeps one :class:`LivePointTable` and derives
+each structure's output at decode time with :func:`masked_storing_result` —
+the output ``ExactStoring.result`` gives for the same masked updates.
 
 Space: ``space_bits`` charges the full pre-allocated O(α·β) layout of a
 space-bounded implementation (the quantity Lemma 4.2 bounds);
@@ -39,7 +45,8 @@ from repro.streaming.sketch import DecodeFailure, IBLTSketch, SketchHashFamily
 from repro.utils.rng import derive_seed
 from repro.utils.validation import FailedConstruction
 
-__all__ = ["StoringResult", "ExactStoring", "SketchStoring"]
+__all__ = ["StoringResult", "ExactStoring", "SketchStoring", "LivePointTable",
+           "masked_storing_result"]
 
 
 @dataclass
@@ -175,11 +182,6 @@ class ExactStoring:
             pn = np.concatenate([self._pcount] + [s for _, _, s in logs])
             self._pcell, self._ppoint, self._pcount = _group_sum_pairs(pc, pp, pn)
 
-    # -- live-count queries (early-kill support) ------------------------------
-    def live_cells_upper(self) -> int:
-        """Cheap overcount of non-empty cells (compacted + pending log)."""
-        return len(self._ckeys) + self._log_events
-
     def live_cells(self) -> int:
         """Exact number of non-empty cells (forces a compaction)."""
         self._flush()
@@ -266,6 +268,136 @@ class ExactStoring:
     def resident_bits(self, cell_bits: int = 64, point_bits: int = 64) -> int:
         """Same as :meth:`space_bits` (only live content is held)."""
         return self.space_bits(cell_bits, point_bits)
+
+
+class LivePointTable:
+    """The surviving multiset of a dynamic stream: sorted point keys with
+    their nonzero signed counts.
+
+    The exact backend's whole Storing state.  Updates append to a log (one
+    list append per batch, or per event on the scalar path) and a
+    compaction folds the log in with :func:`_group_sum`, exactly like
+    :class:`ExactStoring` but with no cell keys and no per-guess copies.
+    The compacted arrays are canonical — a function of the multiset alone,
+    independent of event order, batching, sharding and checkpointing — so
+    they double as the checkpoint encoding.
+    """
+
+    #: Minimum pending-log size before an automatic compaction (as in
+    #: :attr:`ExactStoring.FLUSH_THRESHOLD`).
+    FLUSH_THRESHOLD = 4096
+
+    def __init__(self):
+        self._keys = np.empty(0, dtype=np.int64)    # sorted, unique
+        self._counts = np.empty(0, dtype=np.int64)  # nonzero
+        self._log: list = []      # (keys, signs) array pairs
+        self._slog_k: list = []   # scalar-update staging (Python ints)
+        self._slog_s: list = []
+        self._log_events = 0
+        #: Bumped on every content change; lets readers cache derived views.
+        self.generation = 0
+
+    def update(self, key: int, sign: int) -> None:
+        """Apply one insertion (+1) / deletion (−1) of a point key."""
+        self._slog_k.append(int(key))
+        self._slog_s.append(int(sign))
+        self._appended(1)
+
+    def update_many(self, keys, signs) -> None:
+        """Append a batch of signed updates (one log entry, logged by
+        reference — callers must not mutate the arrays afterwards)."""
+        keys = _as_key_array(keys)
+        if len(keys) == 0:
+            return
+        self._log.append((keys, np.asarray(signs, dtype=np.int64)))
+        self._appended(len(keys))
+
+    def _appended(self, n: int) -> None:
+        self._log_events += n
+        self.generation += 1
+        if self._log_events > max(self.FLUSH_THRESHOLD, len(self._keys)):
+            self._flush()
+
+    def _flush(self) -> None:
+        """Compact the pending log into the sorted arrays."""
+        if not self._log_events:
+            return
+        if self._slog_k:
+            self._log.append((_as_key_array(self._slog_k),
+                              np.asarray(self._slog_s, dtype=np.int64)))
+            self._slog_k, self._slog_s = [], []
+        logs, self._log = self._log, []
+        self._log_events = 0
+        self._keys, self._counts = _group_sum(
+            np.concatenate([self._keys] + [k for k, _ in logs]),
+            np.concatenate([self._counts] + [s for _, s in logs]))
+
+    def contents(self) -> tuple[np.ndarray, np.ndarray]:
+        """The compacted (sorted keys, nonzero counts) arrays."""
+        self._flush()
+        return self._keys, self._counts
+
+    def load(self, keys, counts) -> None:
+        """Replace the contents with the given (key, count) pairs; repeated
+        keys add up and zero totals drop, so any pair list is accepted."""
+        self._log, self._slog_k, self._slog_s = [], [], []
+        self._log_events = 0
+        self._keys, self._counts = _group_sum(
+            _as_key_array(keys), np.asarray(counts, dtype=np.int64))
+        self.generation += 1
+
+    def merge_from(self, other: "LivePointTable") -> None:
+        """Add another table's counts into this one (linearity)."""
+        keys, counts = other.contents()
+        self.update_many(keys, counts)
+        self._flush()
+
+    def __len__(self) -> int:
+        """Number of distinct live keys."""
+        return len(self.contents()[0])
+
+    def space_bits(self, point_bits: int = 64) -> int:
+        """Actual content bits: one key and one 32-bit count per live key."""
+        return len(self) * (point_bits + 32)
+
+
+def masked_storing_result(cells: np.ndarray, points: np.ndarray,
+                          counts: np.ndarray, mask: np.ndarray, alpha: int,
+                          beta: int, recover_points: bool) -> StoringResult:
+    """Lemma 4.2's output for the ``mask``-selected rows of a live table.
+
+    ``cells``/``points``/``counts`` are aligned rows sorted by (cell, point)
+    with unique points and nonzero counts — a :class:`LivePointTable`
+    annotated with one level's cell keys.  The result (FAIL rule, β rule,
+    sorted key order) equals :meth:`ExactStoring.result` after feeding an
+    ``ExactStoring(alpha, beta, recover_points)`` every update of the
+    selected points, since that structure depends only on the net counts.
+    """
+    c = cells[mask]
+    if len(c) == 0:
+        return StoringResult()
+    n = counts[mask]
+    boundary = np.empty(len(c), dtype=bool)
+    boundary[0] = True
+    boundary[1:] = np.asarray(c[1:] != c[:-1], dtype=bool)
+    starts = np.flatnonzero(boundary)
+    sums = np.add.reduceat(n, starts)
+    keep = sums != 0
+    live = int(keep.sum())
+    if live > alpha:
+        raise FailedConstruction(
+            f"Storing: {live} non-empty cells exceed alpha={alpha}")
+    heads = c[starts]
+    cell_counts = dict(zip(heads[keep].tolist(), sums[keep].tolist()))  # scalar-ok: decode, <= alpha cells
+    small = {}
+    if recover_points:
+        p = points[mask]
+        ends = np.append(starts[1:], len(c))
+        sel = keep & (sums <= beta)
+        for cell, lo, hi in zip(heads[sel].tolist(), starts[sel].tolist(),  # scalar-ok: decode, small cells only
+                                ends[sel].tolist()):  # scalar-ok: decode, small cells only
+            small[cell] = dict(zip(p[lo:hi].tolist(), n[lo:hi].tolist()))  # scalar-ok: decode, <= beta points per cell
+    return StoringResult(cells=cell_counts, small_points=small)
 
 
 class SketchStoring:

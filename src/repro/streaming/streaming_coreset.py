@@ -20,7 +20,11 @@ At the end of the stream, the decoded counts replay Algorithms 1+2 *exactly*
 :class:`StreamingCoreset` is the Theorem 4.5 driver: it runs one instance
 per guess o ∈ {1, 2, 4, …, Δ^d·(√dΔ)^r} in parallel (all instances *share*
 the underlying hash polynomials — only the acceptance thresholds differ) and
-returns the smallest guess whose instance does not FAIL.
+returns the preferred guess whose instance does not FAIL.  Because only the
+thresholds differ, the exact backend stores the surviving multiset once (a
+:class:`~repro.streaming.storing.LivePointTable`) and derives every
+instance's Storing output from it at decode time; the sketch backend keeps
+one set of sketches per guess.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from repro.core.partition import ROOT_CELL_KEY
 from repro.core.weighted import Coreset, PartInfo
 from repro.grid.grids import HierarchicalGrids
 from repro.hashing.kwise import KWiseHash, StackedHashes, exact_field_threshold
-from repro.streaming.storing import ExactStoring, SketchStoring
+from repro.streaming.storing import LivePointTable, SketchStoring, masked_storing_result
 from repro.streaming.stream import events_to_arrays
 from repro.utils.rng import derive_seed
 from repro.utils.validation import (
@@ -213,8 +217,69 @@ def _bool_mask(x: np.ndarray) -> np.ndarray:
     return x if x.dtype == np.bool_ else np.asarray(x, dtype=bool)
 
 
+class _LevelRows:
+    """One level's view of the live table: rows sorted by (cell, point),
+    with each sub-stream's hash values aligned to them."""
+
+    __slots__ = ("cells", "keys", "counts", "vh", "vhp", "vhhat")
+
+    def __init__(self, cells, keys, counts, vh, vhp, vhhat):
+        self.cells, self.keys, self.counts = cells, keys, counts
+        self.vh, self.vhp, self.vhhat = vh, vhp, vhhat
+
+
+class _ExactLive:
+    """The exact backend's state, shared by every guess of one driver.
+
+    Every guess-o instance samples the same surviving multiset through the
+    same hash polynomials (:class:`_SharedHashes`) — only its thresholds
+    differ — so one :class:`LivePointTable` replaces the per-guess Storing
+    structures.  At decode time the live rows get their per-level cell keys
+    and hash values once; each tried guess then only masks them."""
+
+    def __init__(self, params: CoresetParams, grids: HierarchicalGrids,
+                 shared: _SharedHashes):
+        self.table = LivePointTable()
+        self._levels_of = params.L + 1
+        self._grids = grids
+        self._shared = shared
+        self._cache: tuple[int, list] | None = None
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state["_cache"] = None  # derived; rebuilt on demand
+        return state
+
+    def levels(self) -> list[_LevelRows]:
+        """Per-level rows of the current live set (cached per generation)."""
+        gen = self.table.generation
+        if self._cache is not None and self._cache[0] == gen:
+            return self._cache[1]
+        keys, counts = self.table.contents()
+        rows = self._grids.point_codec.decode_many(keys)
+        sh = self._shared
+        vals = [st.values_np(keys) if len(keys) else
+                np.empty((self._levels_of, 0), dtype=np.int64)
+                for st in (sh.stacked_h, sh.stacked_hp, sh.stacked_hhat)]
+        out = []
+        for i in range(self._levels_of):  # scalar-ok: decode, per level
+            cells = self._grids.cell_keys(rows, i)
+            order = np.lexsort((keys, cells))
+            out.append(_LevelRows(cells[order], keys[order], counts[order],
+                                  *(v[i][order] for v in vals)))
+        self._cache = (gen, out)
+        return out
+
+
 class StreamingCoresetInstance:
-    """Algorithm 4 for one fixed guess ``o``."""
+    """Algorithm 4 for one fixed guess ``o``.
+
+    On the sketch backend the instance owns its 3·(L+1) Storing sketches
+    and ingests through :meth:`update_with_values` /
+    :meth:`update_batch_arrays`.  On the exact backend it owns only its
+    thresholds and budgets and reads the driver's shared live table
+    (``live``) at decode time; ingest never reaches it.
+    """
 
     def __init__(
         self,
@@ -224,34 +289,24 @@ class StreamingCoresetInstance:
         shared: _SharedHashes,
         seed: int = 0,
         backend: str = "exact",
-        early_kill_factor: float | None = 32.0,
+        live: _ExactLive | None = None,
     ):
         self.params = params
         self.o = float(o)
         self.grids = grids
         self.shared = shared
         self.backend = backend
-        self.dead_reason: str | None = None
-        self._early_kill = early_kill_factor if backend == "exact" else None
+        if backend not in ("exact", "sketch"):
+            raise ValueError(f"unknown backend {backend!r}")
+        if (backend == "exact") != (live is not None):
+            raise ValueError("an exact-backend instance needs the driver's live table")
+        self.live = live
         L = params.L
 
-        def make_storing(alpha: int, beta: int, recover: bool, tag: str):
-            """Construct one Storing structure for the chosen backend."""
-            if backend == "exact":
-                return ExactStoring(alpha, beta, recover_points=recover)
-            if backend == "sketch":
-                return SketchStoring(
-                    alpha, beta,
-                    cell_universe_bits=grids.cell_universe_bits,
-                    point_universe_bits=grids.point_codec.universe_bits,
-                    seed=derive_seed(seed, f"{tag}-o{self.o:g}"),
-                    recover_points=recover,
-                )
-            raise ValueError(f"unknown backend {backend!r}")
-
-        # Acceptance thresholds against the shared hash values.
+        # Acceptance thresholds against the shared hash values, and the
+        # Storing budgets (α, β) of every (level, sub-stream).
         self._thr_h, self._thr_hp, self._thr_hhat = [], [], []
-        self.store_h, self.store_hp, self.store_hhat = [], [], []
+        self.alpha_h, self.alpha_hp, self.alpha_hhat, self.beta_hhat = [], [], [], []
         for i in range(L + 1):  # scalar-ok: constructor: per level
             psi = params.psi(i, o)
             psip = params.psi_part(i, o)
@@ -262,39 +317,40 @@ class StreamingCoresetInstance:
             self._thr_h.append(exact_field_threshold(psi, shared.h[i].prime))
             self._thr_hp.append(exact_field_threshold(psip, shared.hp[i].prime))
             self._thr_hhat.append(exact_field_threshold(phi, shared.hhat[i].prime))
-            self.store_h.append(make_storing(
-                params.storing_alpha(i, o, psi), 1, False, f"st-h-{i}"))
-            self.store_hp.append(make_storing(
-                params.storing_alpha(i, o, psip), 1, False, f"st-hp-{i}"))
-            self.store_hhat.append(make_storing(
-                params.storing_alpha(i, o, phi), params.storing_beta(i, o),
-                True, f"st-hhat-{i}"))
-        self._thr_h_col = _threshold_column(self._thr_h)
-        self._thr_hp_col = _threshold_column(self._thr_hp)
-        self._thr_hhat_col = _threshold_column(self._thr_hhat)
+            self.alpha_h.append(params.storing_alpha(i, o, psi))
+            self.alpha_hp.append(params.storing_alpha(i, o, psip))
+            self.alpha_hhat.append(params.storing_alpha(i, o, phi))
+            self.beta_hhat.append(params.storing_beta(i, o))
 
-    # -- streaming -----------------------------------------------------------
+        self.store_h, self.store_hp, self.store_hhat = [], [], []
+        if backend == "sketch":
+            self._thr_h_col = _threshold_column(self._thr_h)
+            self._thr_hp_col = _threshold_column(self._thr_hp)
+            self._thr_hhat_col = _threshold_column(self._thr_hhat)
+
+            def make_storing(alpha: int, beta: int, recover: bool, tag: str):
+                return SketchStoring(
+                    alpha, beta,
+                    cell_universe_bits=grids.cell_universe_bits,
+                    point_universe_bits=grids.point_codec.universe_bits,
+                    seed=derive_seed(seed, f"{tag}-o{self.o:g}"),
+                    recover_points=recover,
+                )
+
+            for i in range(L + 1):  # scalar-ok: constructor: per level
+                self.store_h.append(make_storing(self.alpha_h[i], 1, False, f"st-h-{i}"))
+                self.store_hp.append(make_storing(self.alpha_hp[i], 1, False, f"st-hp-{i}"))
+                self.store_hhat.append(make_storing(
+                    self.alpha_hhat[i], self.beta_hhat[i], True, f"st-hhat-{i}"))
+
+    # -- streaming (sketch backend) -------------------------------------------
     def update_with_values(self, point_key: int, cell_keys, sign: int,
                            values_h, values_hp, values_hhat) -> None:
         """Process one update given precomputed hash values per level."""
-        if self.dead_reason is not None:
-            return
         for i in range(self.params.L + 1):  # scalar-ok: scalar reference path, per level
             ck = int(cell_keys[i])
             if values_h[i] < self._thr_h[i]:
                 self.store_h[i].update(ck, point_key, sign)
-                if self._early_kill is not None:
-                    store = self.store_h[i]
-                    bound = self._early_kill * store.alpha
-                    # Cheap overcount first; compact for the exact count only
-                    # when the bound might actually be crossed.
-                    if (store.live_cells_upper() > bound
-                            and store.live_cells() > bound):
-                        self.dead_reason = (
-                            f"level {i} cell count blew past "
-                            f"{self._early_kill:g}x alpha (o={self.o:g})"
-                        )
-                        return
             if values_hp[i] < self._thr_hp[i]:
                 self.store_hp[i].update(ck, point_key, sign)
             if values_hhat[i] < self._thr_hhat[i]:
@@ -323,74 +379,54 @@ class StreamingCoresetInstance:
         are ``(L+1, n)`` value matrices aligned with ``pkeys``/``signs``.
         Threshold masks come from one broadcast compare per sub-stream and
         Storing scatters run per level instead of per event, bit-identically
-        to the scalar path — including the early-kill semantics: the scalar
-        path may die *mid-batch* (skipping the rest of the stream), so
-        whenever a batch could push any level's cell count past the kill
-        line, this falls back to exact per-event replay for the whole batch.
+        to the scalar path.
         """
-        if self.dead_reason is not None:
-            return
-        L1 = self.params.L + 1
         n = len(signs)
         mh = _bool_mask(vh < self._thr_h_col)
-        nh = mh.sum(axis=1)
-        if self._early_kill is not None:
-            for i in range(L1):  # scalar-ok: per level per batch
-                nsel = int(nh[i])
-                if not nsel:
-                    continue
-                store = self.store_h[i]
-                bound = self._early_kill * store.alpha
-                if (store.live_cells_upper() + nsel > bound
-                        and store.live_cells() + nsel > bound):
-                    self._replay_scalar(pkeys, cell_keys, signs, vh, vhp, vhhat)
-                    return
         mhp = _bool_mask(vhp < self._thr_hp_col)
         mhh = _bool_mask(vhhat < self._thr_hhat_col)
+        nh = mh.sum(axis=1)
         nhp = mhp.sum(axis=1)
         nhh = mhh.sum(axis=1)
-        for i in range(L1):  # scalar-ok: per level per batch
+        for i in range(self.params.L + 1):  # scalar-ok: per level per batch
             ck = cell_keys[i]
             self._scatter(self.store_h[i], ck, pkeys, signs, mh[i], int(nh[i]), n)
             self._scatter(self.store_hp[i], ck, pkeys, signs, mhp[i], int(nhp[i]), n)
             self._scatter(self.store_hhat[i], ck, pkeys, signs, mhh[i], int(nhh[i]), n)
 
-    def _replay_scalar(self, pkeys, cell_keys, signs, vh, vhp, vhhat) -> None:
-        """Per-event replay of a batch (reference semantics, incl. mid-batch
-        early kill).  Only reached when an instance is about to die, which
-        happens at most once per instance — never on the steady-state path."""
-        L1 = self.params.L + 1
-        for j in range(len(signs)):  # scalar-ok: early-kill replay
-            if self.dead_reason is not None:
-                return
-            self.update_with_values(
-                int(pkeys[j]),
-                [cell_keys[i][j] for i in range(L1)],
-                int(signs[j]),
-                [vh[i][j] for i in range(L1)],
-                [vhp[i][j] for i in range(L1)],
-                [vhhat[i][j] for i in range(L1)],
-            )
-
     # -- finalization ----------------------------------------------------------
+    def storing_results(self):
+        """Decoded ``(res_h, res_hp, res_hhat)`` lists, one
+        :class:`StoringResult` per level; raises the first Storing FAIL."""
+        if self.live is None:
+            return ([s.result() for s in self.store_h],
+                    [s.result() for s in self.store_hp],
+                    [s.result() for s in self.store_hhat])
+        levels = self.live.levels()
+        res_h = [masked_storing_result(
+            lv.cells, lv.keys, lv.counts, _bool_mask(lv.vh < self._thr_h[i]),
+            self.alpha_h[i], 1, False) for i, lv in enumerate(levels)]
+        res_hp = [masked_storing_result(
+            lv.cells, lv.keys, lv.counts, _bool_mask(lv.vhp < self._thr_hp[i]),
+            self.alpha_hp[i], 1, False) for i, lv in enumerate(levels)]
+        res_hhat = [masked_storing_result(
+            lv.cells, lv.keys, lv.counts, _bool_mask(lv.vhhat < self._thr_hhat[i]),
+            self.alpha_hhat[i], self.beta_hhat[i], True) for i, lv in enumerate(levels)]
+        return res_h, res_hp, res_hhat
+
     def finalize(self) -> Coreset:
-        """Replay Algorithms 1+2 from the decoded sketches; may FAIL."""
-        if self.dead_reason is not None:
-            raise FailedConstruction(self.dead_reason)
-        res_h = [s.result() for s in self.store_h]
-        res_hp = [s.result() for s in self.store_hp]
-        res_hhat = [s.result() for s in self.store_hhat]
+        """Replay Algorithms 1+2 from the decoded Storing output; may FAIL."""
+        res_h, res_hp, res_hhat = self.storing_results()
         return assemble_coreset(self.params, self.o, self.grids,
                                 res_h, res_hp, res_hhat)
 
     # -- accounting -----------------------------------------------------------
     def space_bits(self) -> int:
-        """Total sketch space (bits) of this instance."""
-        total = 0
-        for group in (self.store_h, self.store_hp, self.store_hhat):  # scalar-ok: accounting, per store group
-            for s in group:  # scalar-ok: accounting, per store
-                total += s.space_bits()
-        return total
+        """Sketch space (bits) of this instance's own Storing structures
+        (none on the exact backend, whose table the driver charges)."""
+        return sum(s.space_bits()
+                   for group in (self.store_h, self.store_hp, self.store_hhat)  # scalar-ok: accounting
+                   for s in group)
 
 
 class StreamingCoreset:
@@ -402,8 +438,9 @@ class StreamingCoreset:
         Problem parameters; the guess schedule spans [1, Δ^d·(√dΔ)^r] (the
         paper's predetermined range — the stream length is unknown a priori).
     backend:
-        ``"exact"`` (dictionary Storing; fast reference) or ``"sketch"``
-        (true sublinear IBLT sketches; what E3 measures).
+        ``"exact"`` (one live-point table shared by every guess; fast
+        reference) or ``"sketch"`` (true sublinear IBLT sketches per guess;
+        what E3 measures).
     o_range:
         Optional (lo, hi) to restrict the guesses, standing in for the
         streaming 2-approximation of OPT the paper runs in parallel
@@ -452,6 +489,9 @@ class StreamingCoreset:
         self.grids = grids if grids is not None else HierarchicalGrids(
             params.delta, params.d, seed=derive_seed(seed, "grids"))
         self.shared = _SharedHashes(params, self.grids, derive_seed(seed, "hashes"))
+        #: Exact backend: the live-point table every guess decodes from.
+        self.live = (_ExactLive(params, self.grids, self.shared)
+                     if backend == "exact" else None)
         top = (params.delta ** params.d) * (math.sqrt(params.d) * params.delta) ** params.r
         lo, hi = (1.0, top) if o_range is None else (max(1.0, o_range[0]), o_range[1])
         self.instances: list[StreamingCoresetInstance] = []
@@ -461,6 +501,7 @@ class StreamingCoreset:
                 self.instances.append(StreamingCoresetInstance(
                     params, o, self.grids, self.shared,
                     seed=derive_seed(seed, f"inst-{o:g}"), backend=backend,
+                    live=self.live,
                 ))
             o *= 2.0
         self.num_updates = 0
@@ -475,9 +516,9 @@ class StreamingCoreset:
                 seed=derive_seed(seed, "pilot-l0"),
             )
 
-    #: Entries kept in the per-point hash-value cache (a deletion re-hashes
-    #: the same key as its insertion; caching halves the Horner work on
-    #: churn streams).  Values are deterministic per key, so the cache can
+    #: Entries kept in the sketch backend's per-point hash-value cache for
+    #: scalar updates (a deletion re-hashes the same key as its insertion;
+    #: caching halves the Horner work on churn streams).  Values are deterministic per key, so the cache can
     #: never go stale; eviction is arbitrary.
     VALUE_CACHE_LIMIT = 200_000
 
@@ -492,7 +533,15 @@ class StreamingCoreset:
         """
         row = check_stream_points(coerce_integral_rows(point), self.params.delta)
         pkey = int(self.grids.point_codec.encode(row)[0])
-        self._apply_keyed(pkey, self._entry_for(pkey, row), sign)
+        if self.live is not None:
+            self.live.table.update(pkey, sign)
+        else:
+            cell_keys, vh, vhp, vhh = self._entry_for(pkey, row)
+            for inst in self.instances:  # scalar-ok: scalar reference path, per instance
+                inst.update_with_values(pkey, cell_keys, sign, vh, vhp, vhh)
+        if self._pilot_sampler is not None:
+            self._pilot_sampler.update(pkey, sign)
+        self.num_updates += 1
 
     def update_batch(self, events) -> int:
         """Apply a batch of :class:`StreamEvent` / ``(point, sign)`` pairs.
@@ -510,11 +559,13 @@ class StreamingCoreset:
     def update_arrays(self, rows, signs) -> int:
         """Vectorized ingest of an (n, d) coordinate array + sign vector.
 
-        One Horner sweep per (level, sub-stream) over the batch's *distinct*
-        point keys replaces per-event hashing; threshold masks and sketch
-        scatters run per level.  Bit-identical to per-event :meth:`update`
-        calls in the same order (asserted by the property tests and the
-        bench harness).
+        Exact backend: validate, encode, append the keys to the live table's
+        log and feed the ℓ₀-sampler — no hashing and no per-guess work.
+        Sketch backend: one Horner sweep per (level, sub-stream) over the
+        batch's *distinct* point keys replaces per-event hashing; threshold
+        masks and sketch scatters run per level.  Either way the state is
+        bit-identical to per-event :meth:`update` calls in the same order
+        (asserted by the property tests and the bench harness).
         """
         rows = check_stream_points(np.asarray(rows), self.params.delta)
         n = len(rows)
@@ -522,6 +573,17 @@ class StreamingCoreset:
             return 0
         signs = np.asarray(signs, dtype=np.int64)
         pkeys = self.grids.point_codec.encode(rows)
+        if self.live is not None:
+            self.live.table.update_many(pkeys, signs)
+        else:
+            self._scatter_instances(rows, pkeys, signs)
+        if self._pilot_sampler is not None:
+            self._pilot_sampler.update_many(pkeys, signs)
+        self.num_updates += n
+        return n
+
+    def _scatter_instances(self, rows, pkeys, signs) -> None:
+        """Sketch-backend batch: hash once, then every instance scatters."""
         levels = range(self.params.L + 1)
         cell_keys = [self.grids.cell_keys(rows, i) for i in levels]
         # Hash each distinct key once; churn streams (delete = re-hash of an
@@ -533,10 +595,6 @@ class StreamingCoreset:
         vhh = self.shared.stacked_hhat.values_np(uniq)[:, inverse]
         for inst in self.instances:  # scalar-ok: per instance per batch
             inst.update_batch_arrays(pkeys, cell_keys, signs, vh, vhp, vhh)
-        if self._pilot_sampler is not None:
-            self._pilot_sampler.update_many(pkeys, signs)
-        self.num_updates += n
-        return n
 
     def process(self, stream) -> int:
         """Consume an iterable of :class:`StreamEvent` (or (point, sign) pairs)."""
@@ -558,15 +616,6 @@ class StreamingCoreset:
             self._value_cache[pkey] = cached
         return cached
 
-    def _apply_keyed(self, pkey: int, entry, sign: int) -> None:
-        """Feed one keyed update into every instance plus the pilot sampler."""
-        cell_keys, vh, vhp, vhh = entry
-        for inst in self.instances:  # scalar-ok: scalar reference path, per instance
-            inst.update_with_values(pkey, cell_keys, sign, vh, vhp, vhh)
-        if self._pilot_sampler is not None:
-            self._pilot_sampler.update(pkey, sign)
-        self.num_updates += 1
-
     # -- results ---------------------------------------------------------------
     def finalize(self) -> Coreset:
         """Return the coreset of the preferred non-FAIL guess.
@@ -581,25 +630,43 @@ class StreamingCoreset:
     snapshot = finalize
 
     def finalize_with_instance(self):
-        """Like :meth:`finalize` but also returns the winning instance."""
+        """Like :meth:`finalize` but also returns the winning instance.
+
+        Guesses are tried in ``prefer`` order up to the pilot's OPT
+        estimate, then the guesses above it, nearest the estimate first.
+        An empty coreset from a non-empty live set counts as a FAIL: it
+        means the guess overshot so far that no sample survived.
+        """
         last = "no instances"
         order = self.instances if self.prefer == "smallest" else self.instances[::-1]
         cap = self._pilot_upper_bound()
-        deferred = []
-        for inst in order:  # scalar-ok: finalize: per guess
-            if cap is not None and inst.o > cap:
-                deferred.append(inst)  # above the OPT estimate: try last
+        deferred = sorted((inst for inst in order if cap is not None and inst.o > cap),
+                          key=lambda inst: inst.o)
+        live_empty = None
+        for inst in [i for i in order if cap is None or i.o <= cap] + deferred:  # scalar-ok: finalize: per guess
+            try:
+                coreset = inst.finalize()
+            except FailedConstruction as exc:
+                last = exc.reason
                 continue
-            try:
-                return inst.finalize(), inst
-            except FailedConstruction as exc:
-                last = exc.reason
-        for inst in deferred:  # scalar-ok: finalize: per guess
-            try:
-                return inst.finalize(), inst
-            except FailedConstruction as exc:
-                last = exc.reason
+            if len(coreset) == 0:
+                if live_empty is None:
+                    live_empty = self._live_set_empty()
+                if not live_empty:
+                    last = f"empty coreset from a non-empty live set (o={inst.o:g})"
+                    continue
+            return coreset, inst
         raise FailedConstruction(f"all streaming guesses failed; last: {last}")
+
+    def _live_set_empty(self) -> bool:
+        """Whether the live set is known to be empty: exactly on the exact
+        backend, via the ℓ₀-sampler on the sketch backend (assumed empty
+        when neither can tell)."""
+        if self.live is not None:
+            return len(self.live.table) == 0
+        if self._pilot_sampler is not None:
+            return self._pilot_sampler.sample()[1] <= 0
+        return True
 
     def _pilot_upper_bound(self) -> float | None:
         """Estimate of OPT/4 from the ℓ₀-sampler (None without auto_pilot).
@@ -623,6 +690,8 @@ class StreamingCoreset:
         return max(1.0, pilot / 4.0)
 
     def space_bits(self) -> int:
-        """Total bits across all live instances plus shared randomness."""
-        return (sum(inst.space_bits() for inst in self.instances)
-                + self.shared.randomness_bits())
+        """Total bits: the sketch instances (sketch backend) or the live
+        table's content (exact backend), plus shared randomness."""
+        own = (self.live.table.space_bits() if self.live is not None
+               else sum(inst.space_bits() for inst in self.instances))
+        return own + self.shared.randomness_bits()

@@ -80,8 +80,8 @@ class TestShardRouting:
         ing.apply_batch(stream)
         # Routing by point key ⇒ per-shard signed counts are non-negative.
         for shard in ing.shards:
-            inst = shard.instances[0]
-            assert all(c >= 0 for c in inst.store_h[0]._cells.values())
+            _, counts = shard.live.table.contents()
+            assert (counts >= 0).all()
 
     def test_version_bumps_per_batch_not_per_event(self, world):
         stream, _, params = world
@@ -120,13 +120,7 @@ class TestShardedMergeExact:
             shards[i % 3].update(ev.point, ev.sign)
         # The round-robin shards really do hold negative entries (a deletion
         # whose insertion went to a different shard) — the case under test.
-        assert any(
-            cnt < 0
-            for sh in shards
-            for store in sh.instances[0].store_hhat
-            for cell_points in store._points.values()
-            for cnt in cell_points.values()
-        )
+        assert any((sh.live.table.contents()[1] < 0).any() for sh in shards)
 
         ref = StreamingCoreset(params, seed=9, backend="exact")
         ref.process(events)
