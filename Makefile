@@ -3,8 +3,8 @@
 PYTHON ?= python
 
 .PHONY: install test test-verbose bench bench-smoke bench-tenants \
-	bench-tenants-smoke chaos-smoke fleet-smoke perfbench-smoke examples \
-	artifacts lint lint-json clean
+	bench-tenants-smoke chaos-smoke fleet-smoke perfbench-smoke perfbench-test \
+	examples artifacts lint lint-json clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -65,6 +65,12 @@ perfbench-smoke:
 		echo "== perfbench $$w"; \
 		$(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
 	done
+
+# The service benchmark's own self-tests (load generator, span wrappers
+# and self-time arithmetic, the BENCHMARK.json contract, a tiny run of
+# every workload); tier-1 collects only tests/.
+perfbench-test:
+	$(PYTHON) -m pytest perfbench/test_perfbench.py -q
 
 examples:
 	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f || exit 1; done

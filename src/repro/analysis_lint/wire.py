@@ -1,22 +1,22 @@
 """WIRE — cross-file consistency of the JSON-lines wire protocol.
 
 The service speaks one op vocabulary, declared once
-(:data:`repro.service.protocol.OPS`) and re-implemented three times: the
-asyncio multi-tenant server (``aserver.py``), the threaded ``--sync``
-server (``server.py``), and the blocking client (``client.py``).  Protocol
-drift between them is nasty precisely because it is *not* an error at the
-wire layer — an op added to ``OPS`` but forgotten in a server passes
-``decode_line`` and then falls into the servers' "unreachable" tail, and a
-client sending an undeclared op gets a generic error envelope.  Either way
-the symptom is a confused (or hung) client far from the actual bug.  This
-rule makes drift a lint failure instead.
+(:data:`repro.service.protocol.OPS`) and implemented twice: by the asyncio
+server (``aserver.py``), which maps each op to a handler coroutine, and by
+the blocking client (``client.py``).  Protocol drift between them is nasty
+precisely because it is *not* an error at the wire layer — an op added to
+``OPS`` but forgotten in the server passes ``decode_line`` and then finds
+no handler, and a client sending an undeclared op gets a generic error
+envelope.  Either way the symptom is a confused (or hung) client far from
+the actual bug.  This rule makes drift a lint failure instead.
 
 Mechanics: the rule groups files by directory around each ``protocol.py``
-that assigns an ``OPS`` tuple; sibling role files (``aserver.py``,
-``server.py``, ``client.py``) are pulled from the scanned set, or loaded
-from disk when the lint invocation named only part of the group.  Handled
-ops are string literals compared against the ``op`` variable (or
-``req["op"]``); client ops are literal first arguments of
+that assigns an ``OPS`` tuple; the sibling role files (``aserver.py``,
+``client.py``) are pulled from the scanned set, or loaded from disk when
+the lint invocation named only part of the group.  Handled ops are the
+string keys of a handler table (a dict literal assigned to a name ending
+in ``HANDLERS``) plus string literals compared against the ``op``
+variable (or ``req["op"]``); client ops are literal first arguments of
 ``request(...)``/``_send_points(...)``.
 
 Protocol speech is not confined to the protocol's own directory: the
@@ -37,8 +37,8 @@ cannot go stale.
 
 Codes
 -----
-WIRE401  op declared in OPS but not handled by a server (anchored at the
-         OPS declaration, naming the offending file)
+WIRE401  op declared in OPS but not handled by the server (anchored at
+         the OPS declaration, naming the offending file)
 WIRE402  op handled or sent somewhere but missing from OPS (anchored at
          the stray literal)
 WIRE403  op declared in OPS but not reachable from the client
@@ -58,7 +58,7 @@ from repro.analysis_lint.core import Finding, Rule, load_source_file
 
 __all__ = ["WireProtocolRule"]
 
-_SERVER_ROLES = ("aserver.py", "server.py")
+_SERVER_ROLES = ("aserver.py",)
 _CLIENT_ROLE = "client.py"
 
 #: ``# repro-lint: wire-speaker=<path-to-protocol.py> ops=<a,b,...>`` —
@@ -97,10 +97,23 @@ def _string_consts(node):
             yield sub.value, sub.lineno
 
 
+def _is_handler_table(node) -> bool:
+    """``<...>HANDLERS = {...}`` — a dict literal mapping ops to handlers."""
+    return (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+            and any(isinstance(t, ast.Name) and t.id.endswith("HANDLERS")
+                    for t in node.targets))
+
+
 def _handled_ops(sf) -> dict:
-    """Op literals compared against the dispatched op: ``{"query": line}``."""
+    """Ops the server dispatches: handler-table keys and literals compared
+    against the dispatched op, ``{"query": line}``."""
     out: dict[str, int] = {}
     for node in ast.walk(sf.tree):
+        if _is_handler_table(node):
+            for key in node.value.keys:
+                if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                    out.setdefault(key.value, key.lineno)
+            continue
         if not isinstance(node, ast.Compare):
             continue
         sides = [node.left, *node.comparators]
@@ -158,11 +171,11 @@ def _attr_refs(sf, vocabulary) -> dict:
 
 class WireProtocolRule(Rule):
     family = "WIRE"
-    description = ("every op in protocol.OPS is handled by both servers "
+    description = ("every op in protocol.OPS is handled by the server "
                    "and reachable from the client; no undeclared ops; "
                    "wire-speaker files stay in sync with their protocol")
     codes = {
-        "WIRE401": "op declared in OPS but unhandled by a server",
+        "WIRE401": "op declared in OPS but unhandled by the server",
         "WIRE402": "op handled/sent but missing from protocol OPS",
         "WIRE403": "op declared in OPS but not reachable from the client",
         "WIRE404": "wire-speaker references an op absent from its protocol",
@@ -264,8 +277,8 @@ class WireProtocolRule(Rule):
                         path=proto.rel, line=ops_line, col=0, code="WIRE401",
                         message=f"op '{op}' is declared in OPS but never "
                                 f"handled in {role}; a client sending it "
-                                "gets the generic error tail instead of "
-                                "the operation")
+                                "passes decode_line and then finds no "
+                                "handler")
             for op, line in sorted(handled.items()):
                 if op not in declared:
                     yield Finding(

@@ -205,9 +205,9 @@ class Coordinator:
         Returns ``(shared config, rebuilt ShardedIngest per site, raw
         envelopes)``.  Verifies all sites were built from one logical
         config (seed/params/backend/shards) — anything else would make
-        the merge silently wrong.  ``workers`` and ``supervise`` are
-        normalized away: a site running its shards in worker processes
-        serializes the identical state.
+        the merge silently wrong.  ``workers`` is normalized away: a site
+        running its shards in worker processes serializes the identical
+        state.
         """
         envelopes = []
         for j, cli in enumerate(self._clients):
@@ -216,7 +216,7 @@ class Coordinator:
             envelopes.append(cli.pull_state())
         configs = [
             dataclasses.replace(ServiceConfig.from_dict(env["config"]),
-                                workers=0, supervise=True)
+                                workers=0)
             for env in envelopes
         ]
         base = configs[0]

@@ -1,6 +1,6 @@
 """Asyncio JSON-lines front end for the multi-tenant registry.
 
-The default ``repro serve`` server: ``asyncio.start_server`` accepts any
+The ``repro serve`` server: ``asyncio.start_server`` accepts any
 number of concurrent connections on one thread, parses frames on the event
 loop, and runs sketch work (ingest, solve, checkpoint) in worker threads
 via ``asyncio.to_thread``.  Serialization is **per tenant**, not global —
@@ -9,12 +9,12 @@ keep eviction away from in-flight operations, and queries solve on a
 version-keyed snapshot outside the ingest lock, so one tenant's expensive
 solve never stalls another tenant's (or its own) ingest.
 
-Wire compatibility: the protocol is the same JSON-lines format as the
-threaded single-tenant server (kept available behind ``repro serve
---sync``), plus the optional ``stream_id`` field routing each request to a
-named tenant and the ``tenants`` op listing them.  A request without
-``stream_id`` addresses the ``"default"`` tenant, so pre-tenant clients
-work unchanged.
+The wire protocol is JSON lines (:mod:`repro.service.protocol`) plus the
+optional ``stream_id`` field routing each request to a named tenant and the
+``tenants`` op listing them.  A request without ``stream_id`` addresses the
+``"default"`` tenant, so single-stream clients need not know tenants exist.
+Every op in ``protocol.OPS`` has one handler coroutine, and one table maps
+op names to handlers.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from repro.service.protocol import (
     encode_message,
     error_response,
     ok_response,
+    parse_capacity_slack,
     parse_idempotency,
     parse_points,
     parse_stream_id,
@@ -170,10 +171,11 @@ class AsyncClusteringServer:
             reset = fault_point("server.reset", op=op)
             if reset is not None and reset.mode == "pre":
                 return None, False, op
-            response, stop = await self._execute(req)
+            response = await _HANDLERS[op](self, req)
             if reset is not None:
                 return None, False, op
-            return response, stop, op
+            # A shutdown stops the server once its reply is flushed.
+            return response, op == "shutdown", op
         except ProtocolError as exc:
             return error_response(str(exc)), False, op
         except TenantDegraded as exc:
@@ -186,81 +188,115 @@ class AsyncClusteringServer:
         except Exception as exc:  # surface, don't kill the connection
             return error_response(f"{type(exc).__name__}: {exc}"), False, op
 
-    async def _execute(self, req: dict) -> tuple[dict, bool]:
+    # ------------------------------------------------------------------ ops
+    # One coroutine per op in protocol.OPS, routed by _HANDLERS below.
+    # Registry calls run in worker threads: they take locks an evicting
+    # thread may hold while checkpointing a tenant to disk.
+
+    async def _ping(self, req: dict) -> dict:
+        return ok_response(pong=True)
+
+    async def _shutdown(self, req: dict) -> dict:
+        return ok_response(stopping=True)
+
+    async def _tenants(self, req: dict) -> dict:
         registry = self.registry
-        op = req["op"]
-        if op == "ping":
-            return ok_response(pong=True), False
-        if op == "shutdown":
-            return ok_response(stopping=True), True
-        if op == "tenants":
-            # One hop off the loop for both registry reads: overview() and
-            # live_count() take the registry lock, which an evicting thread
-            # may hold while checkpointing a tenant to disk.
-            live_only = bool(req.get("live_only", False))
+        live_only = req.get("live_only")
+        if live_only is not None and not isinstance(live_only, bool):
+            raise ProtocolError("'live_only' must be a JSON bool")
 
-            def _tenants_payload():
-                return registry.overview(live_only=live_only), registry.live_count()
+        def _tenants_payload():
+            return (registry.overview(live_only=bool(live_only)),
+                    registry.live_count())
 
-            rows, live = await asyncio.to_thread(_tenants_payload)
-            return ok_response(
-                tenants=rows,
-                live=live,
-                max_live_tenants=registry.max_live_tenants,
-                eviction_failures=list(registry.eviction_failures),
-            ), False
+        rows, live = await asyncio.to_thread(_tenants_payload)
+        return ok_response(
+            tenants=rows,
+            live=live,
+            max_live_tenants=registry.max_live_tenants,
+            eviction_failures=list(registry.eviction_failures),
+        )
+
+    async def _mutate(self, req: dict, fn) -> dict:
         stream_id = parse_stream_id(req)
-        config: ServiceConfig = registry.config
-        if op in ("insert", "delete"):
-            idem = parse_idempotency(req)
-            if idem is not None:
-                cached = self._idem.check(*idem)
-                if cached is not None:
-                    # A retry of a mutation we already applied: answer from
-                    # the cache, touch nothing — no double count.
-                    return cached, False
-            arr = parse_points(req, config.d, config.delta)
-            fn = registry.insert if op == "insert" else registry.delete
-            payload = await asyncio.to_thread(fn, stream_id, arr)
-            response = ok_response(stream_id=stream_id, **payload)
-            if idem is not None:
-                self._idem.record(idem[0], idem[1], response)
-            return response, False
-        if op == "query":
-            slack = req.get("capacity_slack")
-            result, hit = await asyncio.to_thread(
-                registry.query, stream_id,
-                float(slack) if slack is not None else None)
-            return ok_response(stream_id=stream_id, result=result.to_dict(),
-                               cache_hit=hit), False
-        if op == "checkpoint":
-            if not req.get("path"):
-                raise ProtocolError("'checkpoint' needs a 'path'")
-            info = await asyncio.to_thread(
-                registry.checkpoint, stream_id, req["path"])
-            return ok_response(stream_id=stream_id, **info), False
-        if op == "restore":
-            if not req.get("path"):
-                raise ProtocolError("'restore' needs a 'path'")
-            info = await asyncio.to_thread(
-                registry.restore, stream_id, req["path"])
-            return ok_response(stream_id=stream_id, **info), False
-        if op == "pull_state":
-            # Coordinator-fleet read: the tenant's full checkpoint envelope,
-            # serialized in the reply instead of written to disk.
-            state = await asyncio.to_thread(registry.pull_state, stream_id)
-            return ok_response(stream_id=stream_id, state=state), False
-        if op == "site_stats":
-            site = await asyncio.to_thread(registry.site_stats, stream_id)
-            return ok_response(stream_id=stream_id, site=site), False
-        if op == "stats":
-            stats = await asyncio.to_thread(registry.stats, stream_id)
-            plan = active_plan()
-            if plan is not None:
-                stats["fault_plan"] = dict(plan.summary(),
-                                           fire_counts=plan.fire_counts())
-            return ok_response(stats=stats), False
-        raise ProtocolError(f"unhandled op {op!r}")  # unreachable; decode_line vets
+        idem = parse_idempotency(req)
+        if idem is not None:
+            cached = self._idem.check(*idem)
+            if cached is not None:
+                # A retry of a mutation we already applied: answer from
+                # the cache, touch nothing — no double count.
+                return cached
+        config: ServiceConfig = self.registry.config
+        arr = parse_points(req, config.d, config.delta)
+        payload = await asyncio.to_thread(fn, stream_id, arr)
+        response = ok_response(stream_id=stream_id, **payload)
+        if idem is not None:
+            self._idem.record(idem[0], idem[1], response)
+        return response
+
+    async def _insert(self, req: dict) -> dict:
+        return await self._mutate(req, self.registry.insert)
+
+    async def _delete(self, req: dict) -> dict:
+        return await self._mutate(req, self.registry.delete)
+
+    async def _query(self, req: dict) -> dict:
+        stream_id = parse_stream_id(req)
+        slack = parse_capacity_slack(req)
+        result, hit = await asyncio.to_thread(
+            self.registry.query, stream_id, slack)
+        return ok_response(stream_id=stream_id, result=result.to_dict(),
+                           cache_hit=hit)
+
+    async def _at_path(self, req: dict, fn) -> dict:
+        stream_id = parse_stream_id(req)
+        if not req.get("path"):
+            raise ProtocolError(f"{req['op']!r} needs a 'path'")
+        info = await asyncio.to_thread(fn, stream_id, req["path"])
+        return ok_response(stream_id=stream_id, **info)
+
+    async def _checkpoint(self, req: dict) -> dict:
+        return await self._at_path(req, self.registry.checkpoint)
+
+    async def _restore(self, req: dict) -> dict:
+        return await self._at_path(req, self.registry.restore)
+
+    async def _pull_state(self, req: dict) -> dict:
+        # Coordinator-fleet read: the tenant's full checkpoint envelope,
+        # serialized in the reply instead of written to disk.
+        stream_id = parse_stream_id(req)
+        state = await asyncio.to_thread(self.registry.pull_state, stream_id)
+        return ok_response(stream_id=stream_id, state=state)
+
+    async def _site_stats(self, req: dict) -> dict:
+        stream_id = parse_stream_id(req)
+        site = await asyncio.to_thread(self.registry.site_stats, stream_id)
+        return ok_response(stream_id=stream_id, site=site)
+
+    async def _stats(self, req: dict) -> dict:
+        stream_id = parse_stream_id(req)
+        stats = await asyncio.to_thread(self.registry.stats, stream_id)
+        plan = active_plan()
+        if plan is not None:
+            stats["fault_plan"] = dict(plan.summary(),
+                                       fire_counts=plan.fire_counts())
+        return ok_response(stats=stats)
+
+
+#: Op name → handler coroutine; the keys are exactly ``protocol.OPS``.
+_HANDLERS = {
+    "ping": AsyncClusteringServer._ping,
+    "insert": AsyncClusteringServer._insert,
+    "delete": AsyncClusteringServer._delete,
+    "query": AsyncClusteringServer._query,
+    "checkpoint": AsyncClusteringServer._checkpoint,
+    "restore": AsyncClusteringServer._restore,
+    "pull_state": AsyncClusteringServer._pull_state,
+    "site_stats": AsyncClusteringServer._site_stats,
+    "stats": AsyncClusteringServer._stats,
+    "tenants": AsyncClusteringServer._tenants,
+    "shutdown": AsyncClusteringServer._shutdown,
+}
 
 
 def start_async_server(registry: TenantRegistry, host: str = "127.0.0.1",
@@ -269,9 +305,8 @@ def start_async_server(registry: TenantRegistry, host: str = "127.0.0.1",
     """Serve in a daemon thread running its own event loop; returns
     ``(server, thread)`` once the socket is bound.
 
-    The blocking-client ergonomics of :func:`repro.service.server.start_server`,
-    for tests and embedders: drive it with :class:`ServiceClient` from any
-    thread, stop it with ``server.shutdown()``.
+    For tests and embedders: drive it with :class:`ServiceClient` from any
+    thread, stop it with ``server.shutdown()`` (or the ``shutdown`` op).
     """
     server = AsyncClusteringServer(registry, host, port,
                                    max_request_bytes=max_request_bytes)

@@ -1,4 +1,5 @@
-"""Resilient blocking JSON-lines client for the clustering service.
+"""Resilient blocking JSON-lines client for the clustering service's server
+(:mod:`repro.service.aserver`).
 
 A wrapper over one TCP connection that survives the connection failing.
 Transport faults — refused connects, resets mid-request, truncated reply
@@ -66,7 +67,7 @@ class ServiceDegraded(ServiceError):
 
 
 class ServiceClient:
-    """Client for one clustering server (async multi-tenant or ``--sync``).
+    """Client for one clustering server (:mod:`repro.service.aserver`).
 
     Usable as a context manager::
 
@@ -76,10 +77,10 @@ class ServiceClient:
 
     The context manager always closes the socket, whatever the body raised.
 
-    ``stream_id`` names the tenant every request addresses (multi-tenant
-    servers only); ``None`` leaves the field off the wire, which servers
-    treat as the ``"default"`` tenant — so a client without a stream id
-    speaks the exact pre-tenant protocol.  The attribute is plain state:
+    ``stream_id`` names the tenant every request addresses; ``None`` leaves
+    the field off the wire, which the server treats as the ``"default"``
+    tenant — so a client without a stream id speaks the exact pre-tenant
+    protocol.  The attribute is plain state:
     reassign ``cli.stream_id`` to switch tenants over one connection, or
     pass an explicit ``stream_id=...`` to :meth:`request` per call.
 

@@ -33,18 +33,6 @@ from repro.utils.rng import derive_seed
 __all__ = ["ServiceConfig", "QueryResult", "ClusteringService"]
 
 
-def _pool_class(config: "ServiceConfig"):
-    """The worker-pool implementation a config asks for (lazy imports keep
-    engine importable without spawning multiprocessing machinery)."""
-    if config.supervise:
-        from repro.service.supervisor import SupervisedWorkerPool
-
-        return SupervisedWorkerPool
-    from repro.service.workers import WorkerPoolIngest
-
-    return WorkerPoolIngest
-
-
 @dataclass(frozen=True)
 class ServiceConfig:
     """Everything needed to (re)create a service instance."""
@@ -60,14 +48,11 @@ class ServiceConfig:
     #: ``StreamingCoreset`` per shard, fed sequentially); N > 0 = N shard
     #: processes, one sketch each (supersedes ``num_shards``).  Results are
     #: bit-identical either way — workers build their shards from the same
-    #: ``(params, seed)``, and the merge fan-in is exact.
+    #: ``(params, seed)``, and the merge fan-in is exact.  The pool is a
+    #: :class:`~repro.service.supervisor.SupervisedWorkerPool`, which
+    #: respawns dead workers from their per-shard checkpoint and replays
+    #: the journaled batches bit-identically.
     workers: int = 0
-    #: With workers > 0: run the pool under supervision
-    #: (:class:`~repro.service.supervisor.SupervisedWorkerPool` — dead
-    #: workers are respawned from their per-shard checkpoint and the
-    #: journaled batches replayed, bit-identically).  False = the plain
-    #: pool, where a dead worker is a hard error.
-    supervise: bool = True
     seed: int = 0
     backend: str = "exact"
     #: Uniform capacity as a multiple of total_weight/k at query time.
@@ -91,6 +76,9 @@ class ServiceConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ServiceConfig":
         data = dict(data)
+        # Checkpoints written before supervision became unconditional
+        # carry a ``supervise`` flag; it no longer selects anything.
+        data.pop("supervise", None)
         if data.get("o_range") is not None:
             data["o_range"] = tuple(data["o_range"])
         return cls(**data)
@@ -129,8 +117,9 @@ class ClusteringService:
     """Long-lived balanced-clustering service over a sharded dynamic stream.
 
     Thread-safe: one lock serializes state mutation and queries (the wire
-    server is threaded per connection).  All randomness is seeded through
-    the config, so two services fed the same events answer identically.
+    server runs each request in a worker thread).  All randomness is seeded
+    through the config, so two services fed the same events answer
+    identically.
     """
 
     def __init__(self, config: ServiceConfig, ingest=None):
@@ -138,8 +127,11 @@ class ClusteringService:
         self.params = config.make_params()
         if ingest is None:
             if config.workers > 0:
-                pool_cls = _pool_class(config)
-                ingest = pool_cls(
+                # Lazy import: the engine stays importable without the
+                # multiprocessing machinery.
+                from repro.service.supervisor import SupervisedWorkerPool
+
+                ingest = SupervisedWorkerPool(
                     self.params, num_workers=config.workers, seed=config.seed,
                     backend=config.backend, o_range=config.o_range,
                 )
@@ -308,7 +300,9 @@ class ClusteringService:
         check_format_version(payload, "service checkpoint")
         config = ServiceConfig.from_dict(payload["config"])
         if config.workers > 0:
-            ingest = _pool_class(config).from_state_dict(payload["ingest"])
+            from repro.service.supervisor import SupervisedWorkerPool
+
+            ingest = SupervisedWorkerPool.from_state_dict(payload["ingest"])
             if ingest.num_shards != config.workers:
                 ingest.close()
                 raise ValueError(

@@ -1,11 +1,11 @@
-"""JSON-lines wire protocol shared by the servers and the client.
+"""JSON-lines wire protocol shared by the server and the client.
 
 One request per line, one response per line, UTF-8 JSON — trivially
 debuggable with ``nc`` and language-agnostic.  Requests are objects with an
 ``op`` field; responses always carry ``ok`` (bool) plus either the op's
 payload or an ``error`` string.  Malformed input yields an error response,
-never a dropped connection, so a misbehaving client cannot wedge a worker
-thread mid-frame.
+never a dropped connection, so a misbehaving client cannot wedge a
+connection mid-frame.
 
 Multi-tenancy rides on one optional field: every tenant-scoped request may
 carry a ``stream_id`` string naming the logical stream it addresses.  The
@@ -18,6 +18,7 @@ server.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from collections import OrderedDict
 
@@ -40,6 +41,7 @@ __all__ = [
     "encode_message",
     "error_response",
     "ok_response",
+    "parse_capacity_slack",
     "parse_idempotency",
     "parse_points",
     "parse_stream_id",
@@ -133,6 +135,32 @@ def parse_points(req: dict, d: int, delta: int) -> np.ndarray:
     return arr
 
 
+def parse_capacity_slack(req: dict) -> float | None:
+    """Validate a ``query``'s optional ``capacity_slack`` into a float.
+
+    Absent (or ``null``) means the service's configured slack.  Present, it
+    must be a JSON number (not a bool, not a string) that is finite and at
+    least 1: balanced k-clustering needs k·t >= n, and the capacity is
+    t = slack·n/k, so a slack below 1 is infeasible by construction.
+    Rejecting it here keeps a malformed query from ever reaching the solver
+    (and counting against the tenant's circuit breaker).
+    """
+    slack = req.get("capacity_slack")
+    if slack is None:
+        return None
+    if isinstance(slack, bool) or not isinstance(slack, (int, float)):
+        raise ProtocolError("'capacity_slack' must be a JSON number")
+    try:
+        slack = float(slack)
+    except OverflowError:
+        slack = math.inf
+    if not (math.isfinite(slack) and slack >= 1.0):
+        raise ProtocolError(
+            f"'capacity_slack' must be a finite number >= 1 (k*t >= n), "
+            f"got {slack!r}")
+    return slack
+
+
 def encode_message(obj: dict) -> bytes:
     """Serialize one message to a newline-terminated JSON frame."""
     return json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n"
@@ -192,8 +220,9 @@ class IdempotencyCache:
     events.  One entry per client suffices because the client assigns seqs
     monotonically and never pipelines mutations — a replay is always of
     the latest logical request.  Client ids are evicted LRU beyond
-    :data:`IDEMPOTENCY_CACHE_CLIENTS`.  Thread-safe (the sync server
-    handles connections on threads).
+    :data:`IDEMPOTENCY_CACHE_CLIENTS`.  Thread-safe: embedders may share
+    one cache across threads, not only across one event loop's
+    connections.
     """
 
     def __init__(self, max_clients: int = IDEMPOTENCY_CACHE_CLIENTS):

@@ -31,7 +31,7 @@ from repro.streaming.streaming_coreset import StreamingCoreset
 from repro.utils.rng import derive_seed
 from repro.utils.validation import check_stream_points, coerce_integral_rows
 
-__all__ = ["ShardedIngest", "normalize_events"]
+__all__ = ["ShardedIngest"]
 
 #: Fibonacci-style multiplicative mixer: point keys are mixed-radix encodings
 #: whose low bits carry only the last coordinate, so reducing the raw key
@@ -55,19 +55,6 @@ def _mix_array(keys: np.ndarray) -> np.ndarray:
     h = keys.astype(np.uint64) * np.uint64(_MIX)
     h ^= h >> np.uint64(29)
     return h
-
-
-def normalize_events(events) -> list[tuple[tuple, int]]:
-    """Normalize StreamEvents / (point, sign) pairs to (int tuple, int) pairs.
-
-    Points are made hashable, cheaply picklable (for worker queues), and
-    uniform regardless of whether the caller handed over tuples, lists, or
-    ndarrays.  Funnels through :func:`events_to_arrays`, so non-integral
-    coordinates raise ``ValueError`` instead of being truncated.
-    """
-    rows, signs = events_to_arrays(events)
-    return [(tuple(r), int(s))
-            for r, s in zip(rows.tolist(), signs.tolist())]  # scalar-ok: legacy tuple view, test-only helper
 
 
 class ShardedIngest:

@@ -31,8 +31,9 @@ independent hash functions while every tenant remains exactly reproducible
 — :meth:`TenantRegistry.tenant_config` exposes the derived config, and the
 isolation tests rebuild reference single-tenant services from it.  The
 :data:`~repro.service.protocol.DEFAULT_STREAM_ID` tenant keeps the base
-seed unchanged, so a multi-tenant server addressed by a pre-tenant client
-behaves bit-identically to the old single-tenant server.
+seed unchanged, so a client that never names a stream gets exactly the
+answers of a single :class:`~repro.service.engine.ClusteringService` built
+from the base config.
 """
 
 from __future__ import annotations

@@ -1,14 +1,23 @@
-"""Fixture async server: handles ping/query/mystery plus an undeclared op."""
+"""Fixture async server: a handler table that forgot 'query' (WIRE401),
+plus a compare-dispatched op that OPS never declared (WIRE402)."""
+
+
+def _ping(req):
+    return {"pong": True}
+
+
+def _mystery(req):
+    return {"spooky": True}
+
+
+_HANDLERS = {
+    "ping": _ping,
+    "mystery": _mystery,
+}
 
 
 def dispatch(req):
     op = req["op"]
-    if op == "ping":
-        return {"pong": True}
-    if op == "query":
-        return {"result": None}
-    if op == "mystery":
-        return {"spooky": True}
     if op == "extra":            # WIRE402: not in OPS
         return {"oops": True}
-    raise ValueError(op)
+    return _HANDLERS[op](req)

@@ -1,10 +1,19 @@
-"""Fixture async server: handles exactly the declared ops."""
+"""Fixture async server: its handler table covers exactly the declared ops."""
+
+
+def _ping(req):
+    return {"pong": True}
+
+
+def _query(req):
+    return {"result": None}
+
+
+_HANDLERS = {
+    "ping": _ping,
+    "query": _query,
+}
 
 
 def dispatch(req):
-    op = req["op"]
-    if op == "ping":
-        return {"pong": True}
-    if op == "query":
-        return {"result": None}
-    raise ValueError(op)
+    return _HANDLERS[req["op"]](req)

@@ -15,8 +15,10 @@ Covers the three load-bearing claims of the subsystem:
 from __future__ import annotations
 
 import json
+import socket
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -36,8 +38,12 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
     ShardedIngest,
-    start_server,
+    TenantRegistry,
+    start_async_server,
 )
+from repro.service.aserver import _HANDLERS
+from repro.service.client import ServiceError
+from repro.service.protocol import OPS
 from repro.service.state import (
     sharded_state_from_dict,
     sharded_state_to_dict,
@@ -260,6 +266,19 @@ class TestQueryEngine:
         assert got.cost == want.cost and got.o == want.o
 
 
+@contextmanager
+def serving(registry: TenantRegistry, **kwargs):
+    """Serve ``registry`` on a free port; yields ``(host, port)``, then
+    stops the server and closes the registry."""
+    server, thread = start_async_server(registry, **kwargs)
+    try:
+        yield server.address
+    finally:
+        server.shutdown()
+        thread.join(10)
+        registry.close()
+
+
 class TestServiceEndToEnd:
     """The acceptance-criterion scenario, over a real TCP socket."""
 
@@ -267,12 +286,10 @@ class TestServiceEndToEnd:
         stream, survivors, params = world
         config = ServiceConfig(k=3, d=2, delta=64, num_shards=2, seed=17,
                                capacity_slack=1.2)
-        server, _ = start_server(ClusteringService(config))
-        host, port = server.server_address
         inserts = np.array([ev.point for ev in stream if ev.sign > 0])
         deletes = np.array([ev.point for ev in stream if ev.sign < 0])
         ckpt = tmp_path / "e2e.ckpt.json"
-        try:
+        with serving(TenantRegistry(config)) as (host, port):
             with ServiceClient(host, port) as cli:
                 assert cli.ping()
                 assert cli.insert(inserts, batch_size=64) == len(inserts)
@@ -302,21 +319,17 @@ class TestServiceEndToEnd:
                 assert cli.stats()["cache_hits"] == 1
 
                 cli.checkpoint(ckpt)
-        finally:
-            server.shutdown()
-            server.server_close()
 
-        # "Kill" the server; a fresh process restores and answers identically.
-        twin, _ = start_server(ClusteringService.restore(ckpt))
-        try:
-            with ServiceClient(*twin.server_address) as cli:
+        # "Kill" the server; a fresh one restores (as `repro serve
+        # --restore` does) and answers identically.
+        twin = TenantRegistry(config)
+        twin.restore("default", ckpt)
+        with serving(twin) as (host, port):
+            with ServiceClient(host, port) as cli:
                 restored = cli.query()
                 assert restored["centers"] == answer["centers"]
                 assert restored["cost"] == answer["cost"]
                 assert restored["version"] == answer["version"]
-        finally:
-            twin.shutdown()
-            twin.server_close()
 
     def test_out_of_range_insert_rejected_atomically(self, world):
         """Regression: an insert with a coordinate outside [0, Δ] used to
@@ -324,12 +337,8 @@ class TestServiceEndToEnd:
         and leaving a partially-applied batch behind.  The server must now
         answer a clean error envelope with *zero* events applied and keep
         both the connection and the state healthy."""
-        from repro.service.client import ServiceError
-
-        server, _ = start_server(ClusteringService(
-            ServiceConfig(k=3, d=2, delta=64, num_shards=2, seed=1)))
-        host, port = server.server_address
-        try:
+        config = ServiceConfig(k=3, d=2, delta=64, num_shards=2, seed=1)
+        with serving(TenantRegistry(config)) as (host, port):
             with ServiceClient(host, port) as cli:
                 for bad in ([[3, 3], [1, -1]],   # negative coordinate
                             [[3, 3], [0, 65]],   # > Δ
@@ -341,22 +350,14 @@ class TestServiceEndToEnd:
                 # The boundary coordinates 0 and Δ are legal.
                 assert cli.insert(np.array([[0, 0], [64, 64]])) == 2
                 assert cli.stats()["events"] == 2
-        finally:
-            server.shutdown()
-            server.server_close()
 
     def test_oversized_request_line_rejected(self, world):
         """Regression: the handler read request lines with an unbounded
         ``readline()``, so one newline-free client could balloon server
         memory.  Over-long frames now get an error envelope and a close."""
-        import socket
-
-        server, _ = start_server(
-            ClusteringService(ServiceConfig(k=3, d=2, delta=64, num_shards=2,
-                                            seed=1)),
-            max_request_bytes=2048)
-        host, port = server.server_address
-        try:
+        config = ServiceConfig(k=3, d=2, delta=64, num_shards=2, seed=1)
+        with serving(TenantRegistry(config),
+                     max_request_bytes=2048) as (host, port):
             with socket.create_connection((host, port), timeout=10) as sock:
                 fh = sock.makefile("rwb")
                 fh.write(b'{"op": "insert", "points": [' + b"9" * 4096)
@@ -372,17 +373,10 @@ class TestServiceEndToEnd:
                 fh.write(b'{"op": "ping"}\n')
                 fh.flush()
                 assert json.loads(fh.readline())["ok"] is True
-        finally:
-            server.shutdown()
-            server.server_close()
 
     def test_malformed_requests_get_error_responses(self, world):
-        server, _ = start_server(ClusteringService(
-            ServiceConfig(k=3, d=2, delta=64, num_shards=2, seed=1)))
-        host, port = server.server_address
-        try:
-            import socket
-
+        config = ServiceConfig(k=3, d=2, delta=64, num_shards=2, seed=1)
+        with serving(TenantRegistry(config)) as (host, port):
             with socket.create_connection((host, port), timeout=10) as sock:
                 fh = sock.makefile("rwb")
                 for junk in (b"not json\n", b'{"op": "nope"}\n',
@@ -395,9 +389,38 @@ class TestServiceEndToEnd:
                 fh.write(b'{"op": "ping"}\n')
                 fh.flush()
                 assert json.loads(fh.readline())["ok"] is True
-        finally:
-            server.shutdown()
-            server.server_close()
+
+    def test_bad_query_fields_rejected_before_the_registry(self):
+        """Regression: ``capacity_slack`` went straight to the solver, so a
+        slack below 1 (infeasible: balanced k-clustering needs k*t >= n),
+        NaN, inf, a string or a bool either ran merge + solve and failed
+        there — three such queries opened the tenant's circuit breaker —
+        or was silently coerced.  Both fields are now vetted as protocol
+        errors, which never reach the breaker."""
+        config = ServiceConfig(k=2, d=2, delta=32, num_shards=1, seed=3,
+                               o_range=(1.0, 8.0), restarts=1)
+        pts = np.random.default_rng(0).integers(0, 33, size=(40, 2))
+        with serving(TenantRegistry(config)) as (host, port):
+            with ServiceClient(host, port) as cli:
+                assert cli.insert(pts) == len(pts)
+                for bad in (0.5, 0, -2, float("nan"), float("inf"), 10**400,
+                            "1.5", True, [1.5]):
+                    with pytest.raises(ServiceError, match="capacity_slack"):
+                        cli.request("query", capacity_slack=bad)
+                for bad in ("false", 0, 1):
+                    with pytest.raises(ServiceError, match="live_only"):
+                        cli.request("tenants", live_only=bad)
+                # The tenant is not degraded: it still ingests and solves.
+                assert cli.stats()["breaker"]["state"] == "closed"
+                assert cli.insert(pts[:5]) == 5
+                assert cli.query(capacity_slack=1.0)["capacity"] > 0
+                assert cli.query()["capacity"] > 0
+                rows = cli.request("tenants", live_only=False)["tenants"]
+                assert [r["stream_id"] for r in rows] == ["default"]
+
+
+def test_handler_table_covers_exactly_the_protocol_ops():
+    assert tuple(_HANDLERS) == OPS
 
 
 class TestModuleEntryPoint:

@@ -33,7 +33,6 @@ from repro.service import (
     TenantQuota,
     TenantRegistry,
     start_async_server,
-    start_server,
 )
 from repro.service.client import ServiceError
 from repro.service.protocol import DEFAULT_STREAM_ID
@@ -228,9 +227,13 @@ class TestAsyncWire:
                                    points=stream_points("named").tolist())
                 assert resp["stream_id"] == "named"
                 assert resp["applied"] == len(stream_points("named"))
-                # No stream_id on the wire → the "default" tenant.
+                # No stream_id on the wire → the "default" tenant, which
+                # an explicit "default" addresses too.
                 cli.stream_id = None
                 assert cli.stats()["events"] == 0
+                cli.insert(stream_points(DEFAULT_STREAM_ID, n=6))
+                cli.stream_id = DEFAULT_STREAM_ID
+                assert cli.stats()["events"] == 6
                 cli.stream_id = "named"
                 assert cli.stats()["events"] == len(stream_points("named"))
                 tenants = {t["stream_id"] for t in cli.tenants()}
@@ -326,29 +329,6 @@ class TestAsyncWire:
             server.shutdown()
             thread.join(10)
             reg.close()
-
-    def test_sync_server_is_single_tenant(self):
-        service = ClusteringService(cheap_config())
-        server, thread = start_server(service)
-        host, port = server.server_address
-        try:
-            with ServiceClient(host, port) as cli:
-                cli.insert(stream_points(DEFAULT_STREAM_ID, n=6))
-                # Explicitly addressing "default" is accepted...
-                cli.stream_id = DEFAULT_STREAM_ID
-                assert cli.stats()["events"] == 6
-                rows = cli.tenants()
-                assert [t["stream_id"] for t in rows] == [DEFAULT_STREAM_ID]
-                # ...any other stream gets pointed at the async server.
-                cli.stream_id = "other"
-                with pytest.raises(ServiceError, match="single-tenant"):
-                    cli.stats()
-                cli.stream_id = None
-                cli.shutdown()
-            thread.join(10)
-        finally:
-            server.server_close()
-            service.close()
 
 
 # --------------------------------------------------------------------------
