@@ -72,8 +72,9 @@ perfbench-smoke:
 perfbench-test:
 	$(PYTHON) -m pytest perfbench/test_perfbench.py -q
 
+# Run every example script end to end; one that exits non-zero fails the target.
 examples:
-	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f || exit 1; done
+	for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src $(PYTHON) $$f || exit 1; done
 
 # Generic style (ruff) + project invariants (repro lint: DET/HOT/ASYNC/WIRE;
 # see docs/LINTING.md).  `repro.analysis_lint` is the same command as

@@ -38,7 +38,7 @@ from repro.service.faults import FaultPlan, FaultRule
 
 #: Site shape: only fields the ``serve`` CLI exposes (spawned sites run
 #: the auto-pilot guess schedule; ``o_range`` has no CLI flag).
-FLEET_CONFIG = dict(k=3, d=2, delta=64, num_shards=2, seed=7, restarts=1)
+FLEET_CONFIG = dict(k=3, d=2, delta=64, seed=7, restarts=1)
 
 #: The smoke's failure schedule: kill site 1 after its first acked batch,
 #: once — recovery must replay the journal and stay bit-identical.

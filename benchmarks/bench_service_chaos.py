@@ -46,6 +46,7 @@ from repro.service import (
     faults,
     start_async_server,
 )
+from repro.service.state import sharded_state_from_dict
 
 #: Service shape under chaos: 2 supervised workers per tenant, so a kill
 #: costs a respawn + journal replay, not the run.  Only fields the ``serve``
@@ -80,10 +81,22 @@ def chaos_workload(delta: int = 128, n: int = 4000, seed: int = 23):
 
 
 def _reference_for(config: ServiceConfig) -> ClusteringService:
-    """Fault-free in-process oracle with the worker pool's shard count."""
-    shards = config.workers if config.workers > 0 else config.num_shards
-    return ClusteringService(dataclasses.replace(
-        config, workers=0, num_shards=shards))
+    """Fault-free in-process oracle: the same config with ``workers=0``."""
+    return ClusteringService(dataclasses.replace(config, workers=0))
+
+
+def _folded_json(ingest_state: dict) -> str:
+    """Canonical JSON of a checkpoint's ingest state folded to one driver.
+
+    The ℓ₀ pilot's buckets are sorted: a fold adds the shards' buckets in
+    shard order rather than stream order, and the sampler sorts what it
+    decodes, so their contents, not their order, are the state.
+    """
+    state = sharded_state_from_dict(ingest_state).to_state_dict()
+    for shard in state["shards"]:
+        if shard["pilot"] is not None:
+            shard["pilot"] = [sorted(rows) for rows in shard["pilot"]]
+    return json.dumps(state, sort_keys=True)
 
 
 def drive_chaos_tenant(host: str, port: int, sid: str, ckpt_path,
@@ -113,9 +126,8 @@ def drive_chaos_tenant(host: str, port: int, sid: str, ckpt_path,
         stats = cli.stats()
         reconnects = cli.reconnects
     payload = json.loads(Path(ckpt_path).read_text(encoding="utf-8"))
-    identical = (json.dumps(payload["ingest"], sort_keys=True)
-                 == json.dumps(reference.ingest.to_state_dict(),
-                               sort_keys=True))
+    identical = (_folded_json(payload["ingest"])
+                 == _folded_json(reference.ingest.to_state_dict()))
     ref_stats = reference.stats()
     ledger_ok = all(stats[k] == ref_stats[k]
                     for k in ("events", "insertions", "deletions", "version"))

@@ -1,11 +1,9 @@
-"""Service benchmark — sharded ingest throughput and query-cache latency.
+"""Service benchmark — ingest throughput and query-cache latency.
 
-The numbers every later scaling PR moves: (a) ingest events/sec through the
-sharded layer vs shard count, (b) serial vs process-parallel ingest through
-the same shard layout (bit-identical results, wall-clock diverges with
-cores), (c) cold (merge + decode + solve) vs cached query latency, and
-(d) checkpoint write/restore time — measured from this PR onward so the
-trajectory is visible.
+The numbers every scaling change moves: (a) one in-process driver vs
+process-parallel ingest (bit-identical state, wall-clock diverges with
+cores), (b) scalar vs batched ingest, (c) cold (snapshot + decode + solve)
+vs cached query latency, and (d) checkpoint write/restore time.
 
 Also runnable as a script (spawn-safe: workers re-import this file, so it
 must stay a real file, never piped through stdin)::
@@ -35,6 +33,7 @@ from repro.service import (
     ServiceConfig,
     ShardedIngest,
     WorkerPoolIngest,
+    streaming_state_to_dict,
 )
 from repro.solvers.pilot import estimate_opt_cost
 from repro.streaming import materialize
@@ -55,13 +54,15 @@ def _canonical(state_dict: dict) -> str:
 def run_parallel_curve(n: int = 4000, delta: int = 1024,
                        workers: tuple = (2, 4), batch: int = 1024,
                        seed: int = 3) -> dict:
-    """Serial vs process-parallel ingest over the same shard layout.
+    """One in-process driver vs process-parallel ingest.
 
-    For each worker count W, feed the identical chunked stream through
-    ``ShardedIngest(num_shards=W)`` (serial baseline) and
+    Feed the identical chunked stream through one in-process
+    :class:`ShardedIngest` (serial baseline) and, for each worker count W,
     ``WorkerPoolIngest(num_workers=W)``, timing enqueue *plus drain* for
     the pool (``worker_stats`` queues behind all batches), and check the
-    two checkpoints are byte-identical.  Pool spawn time is reported
+    pool's state folded to one driver is byte-identical to the serial
+    driver's (the exact backend's live table is canonical, and with a
+    guess window there is no pilot sampler).  Pool spawn time is reported
     separately — it is a fixed startup cost, not ingest throughput.
     """
     params = CoresetParams.practical(k=3, d=2, delta=delta)
@@ -69,15 +70,14 @@ def run_parallel_curve(n: int = 4000, delta: int = 1024,
     orange = (pilot / 16, pilot / 4)
     events = list(stream)
     chunks = [events[lo: lo + batch] for lo in range(0, len(events), batch)]
+    serial = ShardedIngest(params, seed=9, backend="exact", o_range=orange)
+    t0 = time.perf_counter()
+    for chunk in chunks:
+        serial.apply_batch(chunk)
+    serial_s = time.perf_counter() - t0
+    serial_state = _canonical(streaming_state_to_dict(serial.driver))
     rows = []
     for w in workers:
-        serial = ShardedIngest(params, num_shards=w, seed=9,
-                               backend="exact", o_range=orange)
-        t0 = time.perf_counter()
-        for chunk in chunks:
-            serial.apply_batch(chunk)
-        serial_s = time.perf_counter() - t0
-
         t0 = time.perf_counter()
         pool = WorkerPoolIngest(params, num_workers=w, seed=9,
                                 backend="exact", o_range=orange)
@@ -88,8 +88,8 @@ def run_parallel_curve(n: int = 4000, delta: int = 1024,
                 pool.apply_batch(chunk)
             pool.worker_stats()  # drain barrier: all batches processed
             pool_s = time.perf_counter() - t0
-            identical = (_canonical(pool.to_state_dict())
-                         == _canonical(serial.to_state_dict()))
+            identical = (_canonical(streaming_state_to_dict(pool.merged_state()))
+                         == serial_state)
         finally:
             pool.close()
         rows.append({
@@ -171,12 +171,12 @@ def run_latency_percentiles(n: int = 3000, delta: int = 256,
                             batch: int = 256, queries: int = 12,
                             seed: int = 3) -> dict:
     """Tail-latency profile of one service: per-batch ingest, cold query
-    (merge + assemble + solve after an invalidating ingest) and cached
+    (snapshot + assemble + solve after an invalidating ingest) and cached
     query (version-keyed memo hit).  Tails, not means — the p99 is what a
     caller sharing the server actually waits."""
     stream, _, pilot = _workload(n=n, delta=delta, seed=seed)
     events = list(stream)
-    config = ServiceConfig(k=3, d=2, delta=delta, num_shards=2, seed=9,
+    config = ServiceConfig(k=3, d=2, delta=delta, seed=9,
                            o_range=(pilot / 16, pilot / 4))
     svc = ClusteringService(config)
     try:
@@ -235,39 +235,10 @@ def test_service_latency_percentiles(benchmark):
 
 
 @pytest.mark.benchmark(group="service")
-def test_service_ingest_throughput_vs_shards(benchmark):
-    """Events/sec through apply_batch as the shard count grows.
-
-    Shards are independent sketches, so per-event work is flat in N — the
-    table checks sharding costs nothing before it buys parallelism."""
-    params = CoresetParams.practical(k=3, d=2, delta=1024)
-    stream, survivors, pilot = _workload()
-    orange = (pilot / 16, pilot / 4)
-    rows = []
-    for shards in (1, 2, 4, 8):
-        ing = ShardedIngest(params, num_shards=shards, seed=9,
-                            backend="exact", o_range=orange)
-        t0 = time.time()
-        ing.apply_batch(stream)
-        dt = time.time() - t0
-        rows.append([shards, len(stream), round(dt, 2),
-                     int(len(stream) / max(dt, 1e-9)),
-                     ing.space_bits() // 8000])
-    print_table(
-        "service: sharded ingest throughput (k=3, d=2, Δ=1024; 30% churn)",
-        ["shards", "events", "sec", "events/sec", "state KB"],
-        rows,
-    )
-    # Per-event cost must not degrade materially with shard count.
-    assert rows[-1][3] >= rows[0][3] / 3
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-
-@pytest.mark.benchmark(group="service")
 def test_service_query_cache_latency(benchmark):
-    """Cold query (merge + assemble + solve) vs memoized repeat query."""
+    """Cold query (snapshot + assemble + solve) vs memoized repeat query."""
     stream, survivors, pilot = _workload(n=3000)
-    config = ServiceConfig(k=3, d=2, delta=1024, num_shards=4, seed=9,
+    config = ServiceConfig(k=3, d=2, delta=1024, seed=9,
                            o_range=(pilot / 16, pilot / 4))
     svc = ClusteringService(config)
     svc.apply_events(stream)
@@ -288,7 +259,7 @@ def test_service_query_cache_latency(benchmark):
     restore_s = time.time() - t0
 
     print_table(
-        "service: query & checkpoint latency (4 shards)",
+        "service: query & checkpoint latency",
         ["events", "|Q'|", "cold query s", "cached query s", "speedup",
          "checkpoint s", "restore s"],
         [[info["events"], cold.coreset_size, round(cold_s, 3),
@@ -302,10 +273,10 @@ def test_service_query_cache_latency(benchmark):
 
 @pytest.mark.benchmark(group="service")
 def test_service_parallel_vs_serial_ingest(benchmark):
-    """Worker-process ingest vs the in-process baseline, same shard layout.
+    """Worker-process ingest vs the one-driver in-process baseline.
 
-    Correctness is unconditional: the two backends' checkpoints must be
-    byte-identical at every worker count.  The ≥2× throughput claim is
+    Correctness is unconditional: the pool's state, folded to one driver,
+    must be byte-identical to the baseline's at every worker count.  The ≥2× throughput claim is
     asserted only on machines with ≥4 cores — on fewer cores the worker
     processes time-slice one CPU and the table just records the overhead.
     """

@@ -88,8 +88,8 @@ def real_fleet() -> None:
         gaussian_mixture(400, d, delta, k, spread=0.03, seed=6), axis=0)
     print(f"\nspawning {s} real `repro serve` sites for {len(points)} points "
           "(plus a 20% deletion stream)...")
-    report = run_fleet(ServiceConfig(k=k, d=d, delta=delta, num_shards=2,
-                                     seed=7, restarts=1),
+    report = run_fleet(ServiceConfig(k=k, d=d, delta=delta, seed=7,
+                                     restarts=1),
                        points, s, batch_size=64, delete_fraction=0.2)
     print(f"fed {report['events']} events in {report['batches']} batches "
           f"({report['events_per_s']} events/s over TCP)")

@@ -32,7 +32,8 @@ __all__ = ["HOT_FILES", "HotPathRule", "MARKER"]
 MARKER = "scalar-ok"
 
 #: The six vectorized hot files (the ingest path end to end: hashing →
-#: sketches → storing → driver → shard router → worker frames).
+#: sketches → storing → driver → in-process ingest → shard router and
+#: worker frames).
 HOT_FILES = (
     "repro/hashing/kwise.py",
     "repro/streaming/sketch.py",

@@ -107,12 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--r", type=float, default=2.0)
     srv.add_argument("--eps", type=float, default=0.25)
     srv.add_argument("--eta", type=float, default=0.25)
-    srv.add_argument("--shards", type=int, default=4)
     srv.add_argument("--workers", type=int, default=0,
-                     help="shard worker processes per tenant; 0 = run the "
-                          "--shards in-process (N > 0 supersedes --shards "
-                          "and gives one sketch shard per process — results "
-                          "are bit-identical either way)")
+                     help="shard worker processes per tenant; 0 = one "
+                          "sketch in-process, N > 0 = one sketch shard per "
+                          "process (answers are identical either way)")
     srv.add_argument("--max-request-mb", type=int, default=8,
                      help="per-connection request-line cap in MiB; "
                           "over-long frames get an error envelope")
@@ -161,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     coord.add_argument("--k", type=int, default=4)
     coord.add_argument("--d", type=int, default=2)
     coord.add_argument("--delta", type=int, default=256)
-    coord.add_argument("--shards", type=int, default=4)
     coord.add_argument("--backend", choices=["exact", "sketch"],
                        default="exact")
     coord.add_argument("--seed", type=int, default=7)
@@ -351,7 +348,7 @@ def _cmd_serve(args) -> int:
 
     config = ServiceConfig(
         k=args.k, d=args.d, delta=args.delta, r=args.r, eps=args.eps,
-        eta=args.eta, num_shards=args.shards, workers=args.workers,
+        eta=args.eta, workers=args.workers,
         seed=args.seed, backend=args.backend,
         capacity_slack=args.capacity_slack, restarts=args.restarts,
     )
@@ -402,8 +399,7 @@ def _cmd_coordinator(args) -> int:
             print(f"fault plan installed: {len(plan.rules)} rule(s), "
                   f"seed={plan.seed}", flush=True)
         config = ServiceConfig(k=args.k, d=args.d, delta=args.delta,
-                               num_shards=args.shards, seed=args.seed,
-                               backend=args.backend)
+                               seed=args.seed, backend=args.backend)
         if args.points:
             pts = np.load(args.points)
         else:

@@ -8,11 +8,10 @@ serialized sketch state over the JSON-lines wire protocol (the
 ``pull_state`` op — the checkpoint envelope doubling as the transfer
 encoding) and merges the states through sketch linearity
 (:func:`repro.streaming.merge.merge_streaming_states`).  Because every
-site is built from the same ``(params, seed)``, and routing of points to
-shards is the same deterministic function everywhere, shard ``j`` summed
-across sites equals shard ``j`` of a single process that saw the whole
-stream — so the coordinator's merged state, and every query answer derived
-from it, is **bit-identical** to a single-process reference.
+site is built from the same ``(params, seed)``, the sum of the site states
+equals the state of a single process that saw the whole stream — so the
+coordinator's merged state, and every query answer derived from it, is
+**bit-identical** to a single-process reference.
 
 Bit accounting
 --------------
@@ -68,7 +67,7 @@ from repro.service.client import ServiceClient, ServiceUnavailable
 from repro.service.engine import ClusteringService, ServiceConfig
 from repro.service.faults import fault_point
 from repro.service.protocol import DEFAULT_STREAM_ID
-from repro.service.state import sharded_state_from_dict
+from repro.service.state import shard_drivers_from_dict, sharded_state_from_dict
 from repro.service.tenants import TenantRegistry
 from repro.streaming.merge import merge_streaming_states
 from repro.utils.bits import float_bits
@@ -104,15 +103,16 @@ SITE_STATS_FIELDS = ("version", "events", "insertions", "deletions",
 
 
 # --------------------------------------------------------------- bit policy
-def pull_state_bits(ingest) -> int:
-    """Bits charged for one ``pull_state`` reply.
+def pull_state_bits(shards: list) -> int:
+    """Bits charged for one ``pull_state`` reply, from the drivers of the
+    shards it carried (before any fold).
 
-    The sketch payload at its information-theoretic size (``space_bits()``
-    — the same figure E3/E7 charge for sketch storage) plus one word per
-    ingest counter: version, insertions, deletions, and one event count
-    per shard.
+    Each shard's sketch payload at its information-theoretic size
+    (``space_bits()`` — the same figure E3/E7 charge for sketch storage)
+    plus one word per ingest counter: version, insertions, deletions, and
+    one event count per shard.
     """
-    return ingest.space_bits() + float_bits(3 + ingest.num_shards)
+    return sum(s.space_bits() for s in shards) + float_bits(3 + len(shards))
 
 
 def accountant(num_sites: int) -> Network:
@@ -128,28 +128,21 @@ def merge_sharded(ingests: list):
     :class:`~repro.service.shards.ShardedIngest` (in place, into the
     first; the others are consumed).
 
-    Shard-wise: shard ``j`` of the result is the sketch sum of shard ``j``
-    across sites.  All sites route points with the same deterministic
-    key-mix over the same shard count, so this equals shard ``j`` of a
-    single process that ingested the concatenated stream — the fan-in is
-    exact, not approximate.  Counters sum likewise; the merged ``version``
-    is the total number of batches applied fleet-wide, which is exactly
-    the version a single process fed the same batches would report.
+    Each site state is one driver (a worker-pool site's shards are folded
+    when it is pulled); their sketch sum equals the driver of a single
+    process that ingested the concatenated stream — the fan-in is exact,
+    not approximate.  Counters sum likewise; the merged ``version`` is the
+    total number of batches applied fleet-wide, which is exactly the
+    version a single process fed the same batches would report.
     """
     ingests = list(ingests)
     if not ingests:
         raise ValueError("need at least one site state to merge")
     acc = ingests[0]
     for other in ingests[1:]:  # scalar-ok: per-site fan-in, not data plane
-        if other.num_shards != acc.num_shards:
-            raise ValueError(
-                f"cannot merge fleet states with {acc.num_shards} vs "
-                f"{other.num_shards} shards")
-        for sa, sb in zip(acc.shards, other.shards):
-            merge_streaming_states(sa, sb)
+        merge_streaming_states(acc.driver, other.driver)
         acc.version += other.version
-        acc.events_per_shard = [a + b for a, b in
-                                zip(acc.events_per_shard, other.events_per_shard)]
+        acc.num_events += other.num_events
         acc.num_insertions += other.num_insertions
         acc.num_deletions += other.num_deletions
     return acc
@@ -204,10 +197,10 @@ class Coordinator:
 
         Returns ``(shared config, rebuilt ShardedIngest per site, raw
         envelopes)``.  Verifies all sites were built from one logical
-        config (seed/params/backend/shards) — anything else would make
-        the merge silently wrong.  ``workers`` is normalized away: a site
-        running its shards in worker processes serializes the identical
-        state.
+        config (seed/params/backend) — anything else would make the merge
+        silently wrong.  ``workers`` is normalized away: a site running
+        worker processes sends one shard per worker, and they are charged
+        as sent, then folded into the site's one driver.
         """
         envelopes = []
         for j, cli in enumerate(self._clients):
@@ -227,10 +220,10 @@ class Coordinator:
                     f"{base}; a fleet must share one (params, seed)")
         ingests = []
         for j, env in enumerate(envelopes):
-            ingest = sharded_state_from_dict(env["ingest"])
-            self.network.send_up(j, None, bits=pull_state_bits(ingest),
+            shards = shard_drivers_from_dict(env["ingest"])
+            self.network.send_up(j, None, bits=pull_state_bits(shards),
                                  label="pull_state")
-            ingests.append(ingest)
+            ingests.append(sharded_state_from_dict(env["ingest"], shards))
         return base, ingests, envelopes
 
     def merged_service(self) -> ClusteringService:
@@ -272,7 +265,6 @@ def _serve_argv(config: ServiceConfig, port: int = 0,
             "--k", str(config.k), "--d", str(config.d),
             "--delta", str(config.delta), "--r", str(config.r),
             "--eps", str(config.eps), "--eta", str(config.eta),
-            "--shards", str(config.num_shards),
             "--workers", str(config.workers),
             "--backend", config.backend,
             "--capacity-slack", str(config.capacity_slack),
@@ -596,10 +588,11 @@ def simulate_fleet(config: ServiceConfig,
     ingests = []
     for j, svc in enumerate(services):
         network.send_down(j, None, bits=REQUEST_BITS, label="pull_state-req")
-        ingest = sharded_state_from_dict(svc.ingest.to_state_dict())
-        network.send_up(j, None, bits=pull_state_bits(ingest),
+        state = svc.ingest.to_state_dict()
+        shards = shard_drivers_from_dict(state)
+        network.send_up(j, None, bits=pull_state_bits(shards),
                         label="pull_state")
-        ingests.append(ingest)
+        ingests.append(sharded_state_from_dict(state, shards))
         svc.close()
     merged = ClusteringService(dataclasses.replace(config, workers=0),
                                ingest=merge_sharded(ingests))

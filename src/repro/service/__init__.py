@@ -1,9 +1,10 @@
 """Long-lived clustering service over dynamic streams.
 
 The paper's sketches are *linear*, which is exactly what a production
-service needs: state can be sharded across independent workers
-(:mod:`repro.service.shards`), persisted and restored bit-identically
-(:mod:`repro.service.state`), merged on demand and queried with result
+service needs: state can be ingested in-process
+(:mod:`repro.service.shards`) or sharded across worker processes
+(:mod:`repro.service.workers`), persisted and restored bit-identically
+(:mod:`repro.service.state`), folded on demand and queried with result
 memoization (:mod:`repro.service.engine`), multiplexed across any number
 of named streams with cold-tenant eviction (:mod:`repro.service.tenants` /
 :mod:`repro.service.eviction`), and exposed over a wire protocol

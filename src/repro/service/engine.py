@@ -1,6 +1,7 @@
-"""The query engine: merge shards on demand, solve, memoize by version.
+"""The query engine: snapshot the ingest state, solve, memoize by version.
 
-A query is expensive — deep-copy + fan-in of every shard, sketch decode,
+A query is expensive — a state snapshot (a deep copy in-process, a drain
+and fold of the shards with worker processes), sketch decode,
 coreset assembly, capacitated solve — while ingest is cheap.  The engine
 therefore keys its single-entry result cache on the ingest layer's state
 *version* (bumped once per applied batch): repeated queries against an
@@ -43,11 +44,9 @@ class ServiceConfig:
     r: float = 2.0
     eps: float = 0.25
     eta: float = 0.25
-    num_shards: int = 4
-    #: Worker processes for ingest: 0 = all shards in-process (one
-    #: ``StreamingCoreset`` per shard, fed sequentially); N > 0 = N shard
-    #: processes, one sketch each (supersedes ``num_shards``).  Results are
-    #: bit-identical either way — workers build their shards from the same
+    #: Worker processes for ingest: 0 = one ``StreamingCoreset`` in-process;
+    #: N > 0 = N shard processes, one sketch each.  Answers are identical
+    #: either way — workers build their shards from the same
     #: ``(params, seed)``, and the merge fan-in is exact.  The pool is a
     #: :class:`~repro.service.supervisor.SupervisedWorkerPool`, which
     #: respawns dead workers from their per-shard checkpoint and replays
@@ -63,7 +62,7 @@ class ServiceConfig:
     o_range: tuple[float, float] | None = None
 
     def make_params(self) -> CoresetParams:
-        """The shared :class:`CoresetParams` of every shard."""
+        """The :class:`CoresetParams` of the ingest drivers."""
         return CoresetParams.practical(k=self.k, d=self.d, delta=self.delta,
                                        r=self.r, eps=self.eps, eta=self.eta)
 
@@ -77,8 +76,11 @@ class ServiceConfig:
     def from_dict(cls, data: dict) -> "ServiceConfig":
         data = dict(data)
         # Checkpoints written before supervision became unconditional
-        # carry a ``supervise`` flag; it no longer selects anything.
+        # carry a ``supervise`` flag, and those written while the
+        # in-process backend held several shards a ``num_shards`` count;
+        # neither selects anything now.
         data.pop("supervise", None)
+        data.pop("num_shards", None)
         if data.get("o_range") is not None:
             data["o_range"] = tuple(data["o_range"])
         return cls(**data)
@@ -114,7 +116,7 @@ class QueryResult:
 
 
 class ClusteringService:
-    """Long-lived balanced-clustering service over a sharded dynamic stream.
+    """Long-lived balanced-clustering service over a dynamic stream.
 
     Thread-safe: one lock serializes state mutation and queries (the wire
     server runs each request in a worker thread).  All randomness is seeded
@@ -137,8 +139,8 @@ class ClusteringService:
                 )
             else:
                 ingest = ShardedIngest(
-                    self.params, num_shards=config.num_shards, seed=config.seed,
-                    backend=config.backend, o_range=config.o_range,
+                    self.params, seed=config.seed, backend=config.backend,
+                    o_range=config.o_range,
                 )
         self.ingest = ingest
         self._lock = threading.RLock()
@@ -202,7 +204,10 @@ class ClusteringService:
         # Finalize + solve outside the lock: they only touch the merged
         # deep copy, so ingest can proceed concurrently.
         coreset, instance = merged.finalize_with_instance()
-        capacity = max(coreset.total_weight / self.params.k * slack, 1e-12)
+        # Capacity beyond the total weight never binds; the cap also keeps
+        # a huge finite slack from overflowing to inf in the LP.
+        total = coreset.total_weight
+        capacity = max(min(total / self.params.k * slack, total), 1e-12)
         solver = CapacitatedKClustering(
             k=self.params.k, capacity=capacity, r=self.params.r,
             restarts=self.config.restarts,

@@ -1,20 +1,19 @@
-"""Sharded ingest: one logical dynamic stream over N parallel sketches.
+"""In-process ingest: one logical dynamic stream into one sketch driver.
 
-Every shard is a full :class:`~repro.streaming.streaming_coreset.StreamingCoreset`
-built from the *same* ``(params, seed)`` — hence identical grid shift, hash
-polynomials, and sketch layouts.  Because all of that state is a linear
-sketch, the sum of the shards equals the state of a single driver that saw
-the whole stream, and
-:func:`~repro.streaming.merge.merge_streaming_states` fan-in is *exact*,
-not approximate (Section 4.3's streaming↔distributed bridge).
+The service's in-process backend owns exactly one
+:class:`~repro.streaming.streaming_coreset.StreamingCoreset` plus the
+ingest counters the engine and the wire report.  Everything the driver
+holds is a linear sketch (Lemma 4.2), so splitting it into several
+in-process shards would only hold the same state N ways and make every
+cold query pay for a fold; parallel shards live in worker processes
+(:mod:`repro.service.workers`) instead.
 
-Routing is by point key, so an insertion and its later deletion meet in the
-same shard and per-shard live sets stay balanced.  Linearity means this is
-an optimization, not a requirement: a deletion applied to a *different*
-shard than its insertion leaves that shard with a negative count that
-cancels at merge time (the cross-shard-deletion tests exercise exactly
-this), which is what makes at-least-once routing layers safe to put in
-front of the service.
+:meth:`ShardedIngest.from_shards` is where several drivers built from one
+``(params, seed)`` become one: an in-process checkpoint written when this
+backend still held several shards, or a worker pool's state pulled by a
+fleet coordinator, folds through the exact
+:func:`~repro.streaming.merge.merge_streaming_states` (Section 4.3's
+streaming↔distributed bridge).
 """
 
 from __future__ import annotations
@@ -24,137 +23,94 @@ import copy
 import numpy as np
 
 from repro.core.params import CoresetParams
-from repro.grid.grids import HierarchicalGrids
 from repro.streaming.merge import merge_streaming_states
 from repro.streaming.stream import events_to_arrays
 from repro.streaming.streaming_coreset import StreamingCoreset
-from repro.utils.rng import derive_seed
-from repro.utils.validation import check_stream_points, coerce_integral_rows
+from repro.utils.validation import coerce_integral_rows
 
 __all__ = ["ShardedIngest"]
 
-#: Fibonacci-style multiplicative mixer: point keys are mixed-radix encodings
-#: whose low bits carry only the last coordinate, so reducing the raw key
-#: modulo ``num_shards`` would route entire coordinate slices to one shard.
-_MIX = 0x9E3779B97F4A7C15
-_MIX_MASK = (1 << 64) - 1
-
-
-def _mix(key: int) -> int:
-    """64-bit multiplicative hash spreading structured point keys."""
-    h = (int(key) * _MIX) & _MIX_MASK
-    h ^= h >> 29
-    return h
-
-
-def _mix_array(keys: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`_mix` (uint64 wrap-around multiply), bigint-safe."""
-    if keys.dtype == object:
-        return np.array([_mix(k) for k in keys.tolist()],  # scalar-ok: bigints
-                        dtype=np.uint64)
-    h = keys.astype(np.uint64) * np.uint64(_MIX)
-    h ^= h >> np.uint64(29)
-    return h
-
 
 class ShardedIngest:
-    """Partition one logical dynamic stream across N sketch shards.
+    """One logical dynamic stream into one in-process sketch driver.
 
     Parameters
     ----------
     params:
-        Shared :class:`CoresetParams` of every shard.
-    num_shards:
-        Number of independent sketches; each sees ~1/N of the events.
+        Problem parameters of the driver.
     seed:
-        Shared by *all* shards — this is what makes merging exact.
+        Seed every bit of the driver's randomness derives from.
     backend, o_range, auto_pilot:
-        Forwarded to every :class:`StreamingCoreset`.
+        Forwarded to the :class:`StreamingCoreset`.
 
     Notes
     -----
     Every applied batch bumps :attr:`version`; the query engine keys its
     memoization on it, so "has anything changed since the last query?" is a
-    single integer comparison.
+    single integer comparison.  The shard-shaped counters
+    (:attr:`num_shards`, :attr:`events_per_shard`) keep the worker pool's
+    vocabulary, so the engine, the wire and the checkpoint envelope treat
+    both backends alike.
     """
 
     def __init__(
         self,
         params: CoresetParams,
-        num_shards: int = 4,
         seed: int = 0,
         backend: str = "exact",
         o_range: tuple[float, float] | None = None,
         auto_pilot: bool | None = None,
     ):
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        # One grid object shared by all shards (identical by construction
-        # anyway, since the shift is derived from the shared seed).
-        grids = HierarchicalGrids(params.delta, params.d,
-                                  seed=derive_seed(seed, "grids"))
-        self.shards = [
-            StreamingCoreset(params, seed=seed, backend=backend,
-                             o_range=o_range, grids=grids, auto_pilot=auto_pilot)
-            for _ in range(num_shards)
-        ]
-        self._init_counters()
+        self._adopt(StreamingCoreset(params, seed=seed, backend=backend,
+                                     o_range=o_range, auto_pilot=auto_pilot))
 
-    def _init_counters(self) -> None:
+    def _adopt(self, driver: StreamingCoreset) -> None:
+        self.driver = driver
         self.version = 0
-        self.events_per_shard = [0] * len(self.shards)
+        self.num_events = 0
         self.num_insertions = 0
         self.num_deletions = 0
 
     @classmethod
     def from_shards(cls, shards: list[StreamingCoreset]) -> "ShardedIngest":
-        """Adopt restored shards (used by checkpoint restore)."""
+        """Fold restored drivers of one ``(params, seed)`` into one ingest.
+
+        The first driver absorbs the others (they are consumed); the sum
+        is the state of one driver that saw every shard's events.  The
+        caller sets the counters.
+        """
         if not shards:
             raise ValueError("need at least one shard")
+        driver = shards[0]
+        for other in shards[1:]:  # scalar-ok: per-shard merge fan-in
+            merge_streaming_states(driver, other)
         ingest = cls.__new__(cls)
-        ingest.shards = list(shards)
-        ingest._init_counters()
+        ingest._adopt(driver)
         return ingest
 
     # ---------------------------------------------------------------- meta
     @property
     def num_shards(self) -> int:
-        """Number of shards."""
-        return len(self.shards)
+        """Always 1: the in-process backend holds one driver."""
+        return 1
+
+    @property
+    def events_per_shard(self) -> list[int]:
+        """``[num_events]``, the worker pool's per-shard vocabulary."""
+        return [self.num_events]
 
     @property
     def params(self) -> CoresetParams:
-        """The shared problem parameters."""
-        return self.shards[0].params
-
-    @property
-    def num_events(self) -> int:
-        """Total events applied across all shards."""
-        return sum(self.events_per_shard)
-
-    def shard_of(self, point) -> int:
-        """Deterministic shard index of a point (same for insert/delete)."""
-        key = self.shards[0].grids.point_codec.encode_one(point)
-        return _mix(key) % len(self.shards)
+        """The driver's problem parameters."""
+        return self.driver.params
 
     # -------------------------------------------------------------- ingest
-    def apply(self, point, sign: int) -> int:
-        """Apply one update to its shard; returns the shard index.
-
-        Bumps :attr:`version` — prefer :meth:`apply_batch` for bulk traffic
-        so the version moves once per batch.
-        """
-        idx = self._apply_one(point, sign)
-        self.version += 1
-        return idx
-
     def apply_batch(self, events) -> int:
         """Apply a batch of events (StreamEvent or (point, sign) pairs).
 
-        The batch is normalized to coordinate/sign arrays and routed by
-        :meth:`apply_arrays` — one vectorized encode + mix instead of a
-        per-event ``shard_of``.  Returns the number of events applied;
-        bumps :attr:`version` once.
+        The batch is normalized to coordinate/sign arrays and applied by
+        :meth:`apply_arrays`.  Returns the number of events applied; bumps
+        :attr:`version` once.
         """
         rows, signs = events_to_arrays(events, d=self.params.d)
         return self.apply_arrays(rows, signs)
@@ -162,27 +118,17 @@ class ShardedIngest:
     def apply_arrays(self, rows, signs) -> int:
         """Vectorized ingest: (n, d) coordinate rows + sign vector.
 
-        The whole batch is validated and routed *before* any shard is
-        touched, so a malformed event rejects the batch instead of leaving
-        a partially applied, version-less state.  Within each shard the
-        original event order is kept (irrelevant for the linear sketches,
-        cheap to preserve).
+        The driver validates the whole batch before it touches any sketch,
+        so a malformed event rejects the batch instead of leaving a
+        partially applied, version-less state.
         """
-        rows = check_stream_points(coerce_integral_rows(rows), self.params.delta)
+        rows = coerce_integral_rows(rows)
         signs = np.asarray(signs, dtype=np.int64)
-        n = len(signs)
+        n = self.driver.update_arrays(rows, signs)
         if n == 0:
             return 0
-        keys = self.shards[0].grids.point_codec.encode(rows)
-        idx = (_mix_array(keys) % np.uint64(len(self.shards))).astype(np.int64)
-        for s in range(len(self.shards)):  # scalar-ok: per shard, batched inside
-            mask = idx == s
-            cnt = int(mask.sum())
-            if not cnt:
-                continue
-            self.shards[s].update_arrays(rows[mask], signs[mask])
-            self.events_per_shard[s] += cnt
         ins = int((signs > 0).sum())
+        self.num_events += n
         self.num_insertions += ins
         self.num_deletions += n - ins
         self.version += 1
@@ -198,35 +144,15 @@ class ShardedIngest:
         rows = coerce_integral_rows(points)
         return self.apply_arrays(rows, np.full(len(rows), -1, dtype=np.int64))
 
-    def _apply_one(self, point, sign: int) -> int:
-        point = tuple(int(c) for c in point)
-        idx = self.shard_of(point)
-        self.shards[idx].update(point, sign)
-        self.events_per_shard[idx] += 1
-        self._count_sign(sign)
-        return idx
-
-    def _count_sign(self, sign: int) -> None:
-        if sign > 0:
-            self.num_insertions += 1
-        else:
-            self.num_deletions += 1
-
-    # --------------------------------------------------------------- fan-in
+    # ------------------------------------------------------------- queries
     def merged_state(self) -> StreamingCoreset:
-        """A fresh driver equal to one that saw the entire stream.
-
-        Deep-copies shard 0 (merging is in-place and must not disturb live
-        ingest state) and folds the remaining shards in; they are only read.
-        """
-        merged = copy.deepcopy(self.shards[0])
-        for shard in self.shards[1:]:  # scalar-ok: per-shard merge fan-in
-            merge_streaming_states(merged, shard)
-        return merged
+        """A copy of the driver a query can finalize without disturbing
+        live ingest."""
+        return copy.deepcopy(self.driver)
 
     def space_bits(self) -> int:
-        """Total charged sketch bits across all shards."""
-        return sum(s.space_bits() for s in self.shards)
+        """Charged sketch bits of the driver."""
+        return self.driver.space_bits()
 
     # ---------------------------------------------------------- persistence
     def to_state_dict(self) -> dict:
@@ -236,5 +162,5 @@ class ShardedIngest:
         return sharded_state_to_dict(self)
 
     def close(self) -> None:
-        """No-op: in-process shards hold no external resources.  Exists so
-        the engine can close any ingest backend uniformly."""
+        """No-op: the in-process driver holds no external resources.
+        Exists so the engine can close any ingest backend uniformly."""

@@ -48,6 +48,7 @@ __all__ = [
     "build_sharded_state_dict",
     "sharded_state_to_dict",
     "sharded_state_from_dict",
+    "shard_drivers_from_dict",
     "tenant_checkpoint_filename",
     "tenant_id_from_filename",
     "write_checkpoint",
@@ -208,8 +209,8 @@ def streaming_state_from_dict(data: dict) -> StreamingCoreset:
     The driver is reconstructed from its arguments (regenerating identical
     grids and hash polynomials), then the sketch contents are restored, so
     the result is indistinguishable from the checkpointed original — it can
-    keep ingesting, merge with sibling shards, and finalize.  Format-1
-    states are read too (see the module docstring).
+    keep ingesting, merge with drivers of the same ``(params, seed)``, and
+    finalize.  Format-1 states are read too (see the module docstring).
     """
     version = check_format_version(data, "streaming-state")
     params = params_from_dict(data["params"])
@@ -259,9 +260,9 @@ def build_sharded_state_dict(shard_dicts: list, *, version: int,
                              num_deletions: int) -> dict:
     """Assemble the sharded-checkpoint envelope from per-shard state dicts.
 
-    Shared by the in-process backend (which serializes its own shards) and
-    the worker-pool backend (whose shards serialize themselves inside their
-    worker processes) — both produce the identical, interchangeable format.
+    Shared by the in-process backend (one shard: its driver) and the
+    worker-pool backend (whose shards serialize themselves inside their
+    worker processes) — both produce the same, interchangeable format.
     """
     return {
         "format_version": STATE_FORMAT_VERSION,
@@ -275,9 +276,10 @@ def build_sharded_state_dict(shard_dicts: list, *, version: int,
 
 
 def sharded_state_to_dict(ingest) -> dict:
-    """JSON-safe state of a :class:`~repro.service.shards.ShardedIngest`."""
+    """JSON-safe state of a :class:`~repro.service.shards.ShardedIngest`:
+    the envelope with its one driver as the only shard."""
     return build_sharded_state_dict(
-        [streaming_state_to_dict(s) for s in ingest.shards],
+        [streaming_state_to_dict(ingest.driver)],
         version=ingest.version,
         events_per_shard=ingest.events_per_shard,
         num_insertions=ingest.num_insertions,
@@ -285,18 +287,33 @@ def sharded_state_to_dict(ingest) -> dict:
     )
 
 
-def sharded_state_from_dict(data: dict):
-    """Rebuild a :class:`~repro.service.shards.ShardedIngest` (inverse of
-    :func:`sharded_state_to_dict`)."""
-    from repro.service.shards import ShardedIngest
-
+def shard_drivers_from_dict(data: dict) -> list[StreamingCoreset]:
+    """Every shard of a sharded-checkpoint envelope as its own driver,
+    not yet folded."""
     check_format_version(data, "sharded-state")
     shards = [streaming_state_from_dict(rec) for rec in data["shards"]]
     if len(shards) != int(data["num_shards"]):
         raise ValueError("checkpoint shard count mismatch")
+    return shards
+
+
+def sharded_state_from_dict(data: dict, shards: list | None = None):
+    """Rebuild a :class:`~repro.service.shards.ShardedIngest` (inverse of
+    :func:`sharded_state_to_dict`).
+
+    An envelope with several shards — a worker pool's, or an in-process
+    checkpoint from when that backend held several shards too — folds into
+    the one driver, with the counters summed.  ``shards`` passes the
+    envelope's drivers when the caller already rebuilt them with
+    :func:`shard_drivers_from_dict`.
+    """
+    from repro.service.shards import ShardedIngest
+
+    if shards is None:
+        shards = shard_drivers_from_dict(data)
     ingest = ShardedIngest.from_shards(shards)
     ingest.version = int(data["version"])
-    ingest.events_per_shard = [int(x) for x in data["events_per_shard"]]
+    ingest.num_events = sum(int(x) for x in data["events_per_shard"])
     ingest.num_insertions = int(data["num_insertions"])
     ingest.num_deletions = int(data["num_deletions"])
     return ingest

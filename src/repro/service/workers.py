@@ -1,23 +1,24 @@
 """Process-parallel shard ingest: one OS process per sketch shard.
 
-:class:`~repro.service.shards.ShardedIngest` gives merge-*exactness* — all
-shards share ``(params, seed)`` randomness, so summing their linear sketches
-equals a single driver that saw the whole stream — but runs every shard in
-one Python process, so sharding buys no wall-clock throughput.  The same
-linearity that makes the paper's coordinator model work with ``s``
-independent sites means each shard can just as well live in its own process:
+The in-process backend (:class:`~repro.service.shards.ShardedIngest`) feeds
+one driver in one Python process.  The linearity that makes the paper's
+coordinator model work with ``s`` independent sites (Lemma 4.2: merging is
+addition) lets the stream be split across processes instead:
 :class:`WorkerPoolIngest` spawns one worker per shard, each constructing its
 :class:`~repro.streaming.streaming_coreset.StreamingCoreset` *inside* the
 worker from the shared ``(params, seed)`` (every bit of randomness is
-derived from those, so worker shards are bit-identical to in-process ones),
-and feeds it batched events over a bounded command queue.
+derived from those, so all shards share grid shift, hash polynomials and
+sketch layouts), and feeds it batched events over a bounded command queue.
+This module is the service's only router: :func:`route_rows` sends each
+point to a shard by its key.
 
 Queries and checkpoints pull per-shard serialized sketch state (the
-:mod:`repro.service.state` codec) back to the parent, where the existing
-exact :func:`~repro.streaming.merge.merge_streaming_states` fan-in runs.
-Because each worker's command queue is FIFO, a ``state`` request enqueued
-after a set of batches observes exactly those batches — no separate barrier
-or ack protocol is needed for determinism.
+:mod:`repro.service.state` codec) back to the parent, where
+:meth:`ShardedIngest.from_shards` folds them with the exact
+:func:`~repro.streaming.merge.merge_streaming_states`.  Because each
+worker's command queue is FIFO, a ``state`` request enqueued after a set of
+batches observes exactly those batches — no separate barrier or ack
+protocol is needed for determinism.
 
 The public surface mirrors ``ShardedIngest`` (``apply_batch`` /
 ``insert_points`` / ``merged_state`` / ``to_state_dict`` / counters), so the
@@ -38,19 +39,55 @@ from repro.core.io import params_from_dict, params_to_dict
 from repro.core.params import CoresetParams
 from repro.grid.grids import PointCodec
 from repro.service.faults import InjectedFault, fault_point
-from repro.service.shards import _mix, _mix_array
+from repro.service.shards import ShardedIngest
 from repro.service.state import (
     build_sharded_state_dict,
     check_format_version,
     streaming_state_from_dict,
     streaming_state_to_dict,
 )
-from repro.streaming.merge import merge_streaming_states
 from repro.streaming.stream import events_to_arrays
 from repro.streaming.streaming_coreset import StreamingCoreset
 from repro.utils.validation import check_stream_points, coerce_integral_rows
 
-__all__ = ["WorkerDied", "WorkerPoolIngest", "DEFAULT_QUEUE_BATCHES"]
+__all__ = ["WorkerDied", "WorkerPoolIngest", "DEFAULT_QUEUE_BATCHES", "route_rows"]
+
+#: Fibonacci-style multiplicative mixer: point keys are mixed-radix encodings
+#: whose low bits carry only the last coordinate, so reducing the raw key
+#: modulo the shard count would route entire coordinate slices to one shard.
+_MIX = 0x9E3779B97F4A7C15
+_MIX_MASK = (1 << 64) - 1
+
+
+def _mix(key: int) -> int:
+    """64-bit multiplicative hash spreading structured point keys."""
+    h = (int(key) * _MIX) & _MIX_MASK
+    h ^= h >> 29
+    return h
+
+
+def _mix_array(keys: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`_mix` (uint64 wrap-around multiply), bigint-safe."""
+    if keys.dtype == object:
+        return np.array([_mix(k) for k in keys.tolist()],  # scalar-ok: bigints
+                        dtype=np.uint64)
+    h = keys.astype(np.uint64) * np.uint64(_MIX)
+    h ^= h >> np.uint64(29)
+    return h
+
+
+def route_rows(codec: PointCodec, rows: np.ndarray, num_shards: int) -> np.ndarray:
+    """Shard index of each (validated) row: its mixed point key modulo
+    ``num_shards``.
+
+    Routing is by point key, so an insertion and its later deletion meet
+    in the same shard and per-shard live sets stay balanced.  Linearity
+    makes this an optimization, not a requirement: a deletion routed to
+    another shard than its insertion leaves a negative count there that
+    cancels in the fold, which is what makes at-least-once routing layers
+    safe in front of the service.
+    """
+    return (_mix_array(codec.encode(rows)) % np.uint64(num_shards)).astype(np.int64)
 
 
 class WorkerDied(RuntimeError):
@@ -154,7 +191,7 @@ class WorkerPoolIngest:
     ----------
     params, seed, backend, o_range, auto_pilot:
         Exactly as for :class:`~repro.service.shards.ShardedIngest`; the
-        shared ``(params, seed)`` is what makes the fan-in exact.
+        shared ``(params, seed)`` is what makes the fold exact.
     num_workers:
         Worker processes, one shard each.
     start_method:
@@ -260,7 +297,7 @@ class WorkerPoolIngest:
         return sum(self.events_per_shard)
 
     def shard_of(self, point) -> int:
-        """Deterministic shard index — identical routing to ShardedIngest."""
+        """Deterministic shard index of one point (:func:`route_rows`)."""
         return _mix(self._codec.encode_one(point)) % len(self._procs)
 
     # -------------------------------------------------------------- ingest
@@ -294,9 +331,8 @@ class WorkerPoolIngest:
         n = len(signs)
         if n == 0:
             return 0
-        keys = self._codec.encode(rows)
         nshards = len(self._procs)
-        idx = (_mix_array(keys) % np.uint64(nshards)).astype(np.int64)
+        idx = route_rows(self._codec, rows, nshards)
         for s in range(nshards):  # scalar-ok: per shard, batched inside
             mask = idx == s
             cnt = int(mask.sum())
@@ -332,13 +368,11 @@ class WorkerPoolIngest:
 
         Drains every worker (the ``state`` request queues behind all
         pending batches) and folds the deserialized shard states together
-        with the exact linear-sketch merge.
+        with :meth:`ShardedIngest.from_shards`.
         """
-        states = self._shard_state_dicts()
-        merged = streaming_state_from_dict(states[0])
-        for rec in states[1:]:  # scalar-ok: per-shard merge fan-in
-            merge_streaming_states(merged, streaming_state_from_dict(rec))
-        return merged
+        return ShardedIngest.from_shards(
+            [streaming_state_from_dict(rec) for rec in self._shard_state_dicts()]
+        ).driver
 
     def space_bits(self) -> int:
         """Total charged sketch bits across all workers (round trip)."""

@@ -2,11 +2,14 @@
 surviving multiset (Lemma 4.2 / Theorem 4.5 on dynamic streams).
 
 Whatever insert/delete trace led to a live set — and whichever ingest path
-carried it: scalar updates, batched arrays, four shards merged, or a
-checkpoint round trip — the serialized live table and the query answer
-must equal those of a fresh driver fed only the survivors.  A "noise then
-delete" family stresses the case that used to break: a large transient
-live set that is deleted again.
+carried it: scalar updates, batched arrays, a legacy four-shard checkpoint
+merged at restore, a checkpoint round trip, a two-worker pool folded, or a
+tenant evicted and restored — the serialized live table and the query
+answer must equal those of a fresh driver fed only the survivors.  A
+"noise then delete" family stresses the case that used to break: a large
+transient live set that is deleted again.  The pool and tenant paths run
+one fixed trace of that family, since spawning worker processes per
+hypothesis example costs too much.
 """
 
 from __future__ import annotations
@@ -20,11 +23,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.params import CoresetParams
-from repro.service import ClusteringService, ServiceConfig
-from repro.service.shards import ShardedIngest
-from repro.service.state import streaming_state_from_dict, streaming_state_to_dict
+from repro.service import (
+    ClusteringService,
+    ServiceConfig,
+    SupervisedWorkerPool,
+    TenantRegistry,
+)
+from repro.service.state import (
+    sharded_state_from_dict,
+    streaming_state_from_dict,
+    streaming_state_to_dict,
+)
 from repro.streaming.streaming_coreset import StreamingCoreset
 from repro.utils.validation import FailedConstruction
+from tests.shard_oracle import routed_state
 
 DELTA = 1024
 SEED = 3
@@ -100,20 +112,31 @@ def _paths(params, events, chunk):
     batched = StreamingCoreset(params, seed=SEED)
     for lo in range(0, len(events), chunk):
         batched.update_arrays(rows[lo: lo + chunk], signs[lo: lo + chunk])
-    sharded = ShardedIngest(params, num_shards=4, seed=SEED)
-    for lo in range(0, len(events), chunk):
-        sharded.apply_arrays(rows[lo: lo + chunk], signs[lo: lo + chunk])
     restored = streaming_state_from_dict(
         json.loads(json.dumps(streaming_state_to_dict(batched))))
     return {"scalar": scalar, "update_arrays": batched,
-            "sharded": sharded.merged_state(), "restored": restored}
+            "legacy_merge": _legacy_merge(params, rows, signs),
+            "restored": restored}
 
 
-def _check_equivalent(params, events, chunk):
+def _legacy_merge(params, rows, signs):
+    """The trace as a four-shard in-process checkpoint (the layout before
+    that backend held one driver), merged at restore."""
+    envelope = routed_state(params, rows, signs, 4, version=1, seed=SEED)
+    return sharded_state_from_dict(json.loads(json.dumps(envelope))).driver
+
+
+def _fresh(params, events):
+    """A driver fed only the trace's survivors."""
     fresh = StreamingCoreset(params, seed=SEED)
     surv = _survivors(events)
     if surv:
         fresh.update_arrays(*_arrays([(p, 1) for p in surv]))
+    return fresh
+
+
+def _check_equivalent(params, events, chunk):
+    fresh = _fresh(params, events)
     want_table, want = _table_bytes(fresh), _answer(fresh)
     for name, drv in _paths(params, events, chunk).items():
         assert _table_bytes(drv) == want_table, name
@@ -132,6 +155,50 @@ class TestChurnEquivalence:
         _check_equivalent(params, events, chunk)
 
 
+class TestFixedTraceEquivalence:
+    """The worker-pool and tenant-registry paths on one fixed
+    noise-then-delete trace."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        rng = np.random.default_rng(7)
+        noise = [tuple(p) for p in
+                 np.unique(rng.integers(1, DELTA + 1, size=(300, 2)), axis=0).tolist()]
+        survivors = [(int(5 + rng.integers(0, 4)), int(20 + rng.integers(0, 4)))
+                     for _ in range(25)]
+        noise = [p for p in noise if p not in set(survivors)]
+        events = [(p, 1) for p in noise] + [(p, 1) for p in survivors]
+        return events + [(p, -1) for p in noise]
+
+    @staticmethod
+    def _assert_equivalent(params, trace, drv):
+        fresh = _fresh(params, trace)
+        assert _table_bytes(drv) == _table_bytes(fresh)
+        assert _answer(drv) == _answer(fresh)
+
+    def test_two_worker_pool_folded(self, params, trace):
+        rows, signs = _arrays(trace)
+        with SupervisedWorkerPool(params, num_workers=2, seed=SEED) as pool:
+            for lo in range(0, len(trace), 64):
+                pool.apply_arrays(rows[lo: lo + 64], signs[lo: lo + 64])
+            assert min(pool.events_per_shard) > 0
+            drv = pool.merged_state()
+        self._assert_equivalent(params, trace, drv)
+
+    def test_tenant_evicted_and_restored(self, params, trace, tmp_path):
+        rows, signs = _arrays(trace)
+        config = ServiceConfig(k=2, d=2, delta=DELTA, seed=SEED)
+        assert config.make_params() == params
+        with TenantRegistry(config, tenants_dir=tmp_path) as registry:
+            registry.insert("default", rows[signs > 0])
+            registry.delete("default", rows[signs < 0])
+            assert registry.evict("default")
+            state = registry.pull_state("default")
+            assert registry.stats("default")["restores"] == 1
+        (shard,) = state["ingest"]["shards"]
+        self._assert_equivalent(params, trace, streaming_state_from_dict(shard))
+
+
 class TestNoiseThenDeleteRegression:
     """Scaled-down ROADMAP trace: before the live table, mid-stream early
     kills froze every guess under the pilot cap, the fallback tried the
@@ -146,7 +213,7 @@ class TestNoiseThenDeleteRegression:
         surv = np.unique(np.clip(centers[rng.integers(0, 3, 150)]
                                  + rng.integers(-1, 2, (150, 2)), 1, delta), axis=0)
         noise = noise[~(noise[:, None, :] == surv[None]).all(-1).any(1)]
-        config = ServiceConfig(k=3, d=2, delta=delta, num_shards=1, seed=1)
+        config = ServiceConfig(k=3, d=2, delta=delta, seed=1)
         svc = ClusteringService(config)
         ref = ClusteringService(config)
         try:

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.distributed.fleet import (
     REQUEST_BITS,
+    Coordinator,
     SITE_STATS_FIELDS,
     merge_sharded,
     plan_site_ops,
@@ -45,6 +46,7 @@ from repro.service import (
 from repro.service import faults
 from repro.service.faults import FaultPlan, FaultRule
 from repro.service.state import (
+    shard_drivers_from_dict,
     sharded_state_from_dict,
     streaming_state_to_dict,
 )
@@ -52,12 +54,12 @@ from repro.streaming.merge import merge_many
 from repro.utils.bits import float_bits
 
 # Cheap in-process shape: 4 guess instances, sub-100ms per service.
-CHEAP = dict(k=2, d=2, delta=32, num_shards=2, seed=11,
+CHEAP = dict(k=2, d=2, delta=32, seed=11,
              o_range=(1.0, 8.0), restarts=1)
 
 # Real-fleet shape: no o_range (the serve CLI cannot express it, so
 # spawned sites always run the auto-pilot guess schedule).
-FLEET = dict(k=2, d=2, delta=32, num_shards=2, seed=7, restarts=1)
+FLEET = dict(k=2, d=2, delta=32, seed=7, restarts=1)
 
 
 def _site_states(config: ServiceConfig, site_ops) -> list[dict]:
@@ -128,15 +130,15 @@ class TestMergeProperties:
     @given(fleet_plan())
     @settings(max_examples=8, deadline=None)
     def test_merge_many_drivers_match_reference_shard(self, plan):
-        """merge_many at the StreamingCoreset layer: summing shard 0's
-        drivers across sites equals shard 0 of the unsharded reference."""
+        """merge_many at the StreamingCoreset layer: summing the site
+        drivers equals the driver of the single-process reference."""
         ops, perm = plan
         cfg = ServiceConfig(**CHEAP)
         states = _site_states(cfg, ops)
-        drivers = [sharded_state_from_dict(states[i]).shards[0] for i in perm]
+        drivers = [sharded_state_from_dict(states[i]).driver for i in perm]
         merged = merge_many(drivers)
         reference = _reference_service(cfg, ops)
-        ref_shard = reference.ingest.shards[0]
+        ref_shard = reference.ingest.driver
         assert json.dumps(streaming_state_to_dict(merged), sort_keys=True) == \
             json.dumps(streaming_state_to_dict(ref_shard), sort_keys=True)
         assert merged.num_updates == ref_shard.num_updates
@@ -175,7 +177,7 @@ class TestWireOps:
         assert tuple(sorted(site)) == tuple(sorted(
             SITE_STATS_FIELDS + ("stream_id",)))
         assert site["events"] == len(pts)
-        assert site["num_shards"] == cfg.num_shards
+        assert site["num_shards"] == 1
         reference.close()
         # The pulled envelope is a complete checkpoint: it restores as is.
         restored = ClusteringService.from_payload(state)
@@ -187,11 +189,46 @@ class TestWireOps:
         cfg = ServiceConfig(**CHEAP)
         svc = ClusteringService(cfg)
         svc.insert(self._workload(16))
-        ingest = svc.ingest
-        assert pull_state_bits(ingest) == \
-            ingest.space_bits() + float_bits(3 + ingest.num_shards)
+        shards = shard_drivers_from_dict(svc.ingest.to_state_dict())
+        assert pull_state_bits(shards) == \
+            svc.ingest.space_bits() + float_bits(3 + 1)
         assert REQUEST_BITS == 16
         svc.close()
+
+    def test_coordinator_folds_a_worker_pool_site(self):
+        """A site running worker processes sends one shard per worker: the
+        coordinator charges each shard as sent, then folds them into the
+        site's one driver, which answers like an in-process site."""
+        cfg = ServiceConfig(**CHEAP)
+        reg = TenantRegistry(dataclasses.replace(cfg, workers=2))
+        server, _ = start_async_server(reg)
+        pts = self._workload()
+        try:
+            with ServiceClient(*server.address) as cli:
+                cli.insert(pts, batch_size=16)
+                cli.delete(pts[:8])
+                sent = shard_drivers_from_dict(cli.pull_state()["ingest"])
+            with Coordinator([server.address]) as coord:
+                merged = coord.merged_service()
+                bits = coord.network.uplink_bits
+        finally:
+            server.shutdown()
+            reg.close(persist=False)
+        assert len(sent) == 2
+        assert bits == pull_state_bits(sent)
+        reference = ClusteringService(cfg)
+        for lo in range(0, len(pts), 16):
+            reference.insert(pts[lo: lo + 16])
+        reference.delete(pts[:8])
+        try:
+            assert (merged.ingest.num_shards, merged.ingest.num_events) == (
+                1, len(pts) + 8)
+            assert (streaming_state_to_dict(merged.ingest.driver)["table"]
+                    == streaming_state_to_dict(reference.ingest.driver)["table"])
+            assert merged.query()[0].to_dict() == reference.query()[0].to_dict()
+        finally:
+            merged.close()
+            reference.close()
 
 
 @pytest.mark.slow

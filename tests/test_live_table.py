@@ -284,7 +284,7 @@ class TestNoPerGuessIngest:
         monkeypatch.setattr(
             StreamingCoresetInstance, "update_batch_arrays",
             lambda *a, **k: calls.append("instance.update_batch_arrays"))
-        ing = ShardedIngest(params, num_shards=4, seed=1)
+        ing = ShardedIngest(params, seed=1)
         events = _trace(3, 300)
         rows, signs = events_to_arrays(events, d=D)
         ing.apply_arrays(rows, signs)
@@ -293,7 +293,7 @@ class TestNoPerGuessIngest:
         for p, s in events[:20]:
             sc.update(p, s)
         assert calls == []
-        for drv in ing.shards + [sc]:
+        for drv in (ing.driver, sc):
             assert all(not (inst.store_h or inst.store_hp or inst.store_hhat)
                        for inst in drv.instances)
 

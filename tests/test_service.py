@@ -2,7 +2,7 @@
 
 Covers the three load-bearing claims of the subsystem:
 
-1. sharding is *exact* — N shards built with shared randomness merge to the
+1. sharding is *exact* — N drivers built with shared randomness merge to the
    state of one driver that saw the whole stream, even when deletions land
    on a different shard than their insertions;
 2. checkpoint/restore is *bit-identical* — a restored driver finalizes to
@@ -50,9 +50,12 @@ from repro.service.state import (
     streaming_state_from_dict,
     streaming_state_to_dict,
 )
+from repro.service.workers import route_rows
 from repro.solvers.capacitated_lloyd import CapacitatedKClustering
 from repro.streaming import StreamingCoreset, materialize
 from repro.streaming.merge import merge_streaming_states
+from repro.streaming.stream import events_to_arrays
+from tests.shard_oracle import routed_drivers
 
 
 @pytest.fixture(scope="module")
@@ -70,48 +73,60 @@ def _coreset_points(cs):
 
 
 class TestShardRouting:
+    """The worker pool's routing (:func:`route_rows`), checked in-process."""
+
     def test_deterministic_and_spread(self, world):
         stream, _, params = world
-        ing = ShardedIngest(params, num_shards=4, seed=3)
-        points = [ev.point for ev in stream]
-        routes = [ing.shard_of(p) for p in points]
-        assert routes == [ing.shard_of(p) for p in points]  # stable
-        assert len(set(routes)) == 4  # every shard sees traffic
+        codec = StreamingCoreset(params, seed=3).grids.point_codec
+        rows, _ = events_to_arrays(stream, d=2)
+        routes = route_rows(codec, rows, 4)
+        assert np.array_equal(routes, route_rows(codec, rows, 4))  # stable
+        assert set(routes.tolist()) == {0, 1, 2, 3}  # every shard sees traffic
 
     def test_insert_and_delete_meet_in_same_shard(self, world):
         stream, _, params = world
-        ing = ShardedIngest(params, num_shards=5, seed=3)
-        for ev in stream:
-            assert ing.shard_of(ev.point) == ing.shard_of(ev.point)
-        ing.apply_batch(stream)
+        rows, signs = events_to_arrays(stream, d=2)
+        codec = StreamingCoreset(params, seed=3).grids.point_codec
+        shard_of = {}
+        for row, s in zip(map(tuple, rows.tolist()),
+                          route_rows(codec, rows, 5).tolist()):
+            assert shard_of.setdefault(row, s) == s
+        assert (signs < 0).any()
         # Routing by point key ⇒ per-shard signed counts are non-negative.
-        for shard in ing.shards:
-            _, counts = shard.live.table.contents()
+        drivers, _ = routed_drivers(params, rows, signs, 5, seed=3)
+        for driver in drivers:
+            _, counts = driver.live.table.contents()
             assert (counts >= 0).all()
 
     def test_version_bumps_per_batch_not_per_event(self, world):
         stream, _, params = world
-        ing = ShardedIngest(params, num_shards=2, seed=3)
+        ing = ShardedIngest(params, seed=3)
         ing.apply_batch(list(stream)[:10])
         assert ing.version == 1
         ing.apply_batch(list(stream)[10:20])
         assert ing.version == 2
-        ing.apply(list(stream)[20].point, list(stream)[20].sign)
-        assert ing.version == 3
+        ing.apply_batch(list(stream)[20:21])
+        assert ing.version == 3 and ing.num_events == 21
 
 
 class TestShardedMergeExact:
     @pytest.mark.parametrize("backend", ["exact", "sketch"])
     def test_three_shards_equal_unsharded(self, world, backend):
-        """≥3 shards of one logical stream merge to the unsharded answer."""
+        """≥3 routed drivers of one logical stream, merged directly, give
+        the unsharded answer."""
         stream, _, params = world
         ref = StreamingCoreset(params, seed=9, backend=backend)
         ref.process(stream)
         want = ref.finalize()
 
-        ing = ShardedIngest(params, num_shards=3, seed=9, backend=backend)
-        assert ing.apply_batch(stream) == len(stream)
-        got = ing.merged_state().finalize()
+        rows, signs = events_to_arrays(stream, d=2)
+        drivers, counts = routed_drivers(params, rows, signs, 3, seed=9,
+                                         backend=backend)
+        assert sum(counts) == len(stream) and min(counts) > 0
+        merged = drivers[0]
+        for other in drivers[1:]:
+            merge_streaming_states(merged, other)
+        got = merged.finalize()
         assert got.o == want.o
         assert _coreset_points(got) == _coreset_points(want)
 
@@ -140,11 +155,11 @@ class TestShardedMergeExact:
 
     def test_merged_state_does_not_disturb_ingest(self, world):
         stream, _, params = world
-        ing = ShardedIngest(params, num_shards=2, seed=9)
+        ing = ShardedIngest(params, seed=9)
         events = list(stream)
         ing.apply_batch(events[: len(events) // 2])
         first = ing.merged_state().finalize()
-        # Querying must not consume the shards: keep ingesting and the
+        # Querying must not consume the driver: keep ingesting and the
         # final answer matches a fresh unsharded run of the whole stream.
         ing.apply_batch(events[len(events) // 2:])
         got = ing.merged_state().finalize()
@@ -205,7 +220,7 @@ class TestCheckpointRestore:
 
     def test_sharded_roundtrip_preserves_counters(self, world):
         stream, _, params = world
-        ing = ShardedIngest(params, num_shards=3, seed=9)
+        ing = ShardedIngest(params, seed=9)
         ing.apply_batch(stream)
         ing2 = sharded_state_from_dict(sharded_state_to_dict(ing))
         assert ing2.version == ing.version
@@ -228,7 +243,7 @@ class TestQueryEngine:
     def test_cache_hit_until_ingest_invalidates(self, world):
         stream, _, params = world
         svc = ClusteringService(
-            ServiceConfig(k=3, d=2, delta=64, num_shards=2, seed=17))
+            ServiceConfig(k=3, d=2, delta=64, seed=17))
         svc.apply_events(stream)
         r1, hit1 = svc.query()
         r2, hit2 = svc.query()
@@ -243,17 +258,30 @@ class TestQueryEngine:
     def test_nondefault_slack_bypasses_cache(self, world):
         stream, _, params = world
         svc = ClusteringService(
-            ServiceConfig(k=3, d=2, delta=64, num_shards=2, seed=17))
+            ServiceConfig(k=3, d=2, delta=64, seed=17))
         svc.apply_events(stream)
         svc.query()
         result, hit = svc.query(capacity_slack=2.0)
         assert not hit
         assert result.capacity > svc.query()[0].capacity
 
+    def test_huge_finite_slack_caps_capacity_at_total_weight(self, world):
+        """Regression: slack·W/k overflowed to inf for a huge finite slack
+        and the LP refused the bound.  Capacity beyond the coreset's total
+        weight W never binds, so it is capped at W."""
+        stream, _, _ = world
+        svc = ClusteringService(ServiceConfig(k=3, d=2, delta=64, seed=17))
+        svc.apply_events(stream)
+        huge, _ = svc.query(capacity_slack=1e308)
+        at_k, _ = svc.query(capacity_slack=3.0)
+        assert huge.capacity == svc.ingest.merged_state().finalize().total_weight
+        assert np.array_equal(huge.centers, at_k.centers)
+        assert huge.cost == at_k.cost
+
     def test_service_checkpoint_restore(self, world, tmp_path):
         stream, _, params = world
         svc = ClusteringService(
-            ServiceConfig(k=3, d=2, delta=64, num_shards=3, seed=17))
+            ServiceConfig(k=3, d=2, delta=64, seed=17))
         svc.apply_events(stream)
         want, _ = svc.query()
         info = svc.checkpoint(tmp_path / "svc.json")
@@ -284,7 +312,7 @@ class TestServiceEndToEnd:
 
     def test_ingest_query_checkpoint_restore(self, world, tmp_path):
         stream, survivors, params = world
-        config = ServiceConfig(k=3, d=2, delta=64, num_shards=2, seed=17,
+        config = ServiceConfig(k=3, d=2, delta=64, seed=17,
                                capacity_slack=1.2)
         inserts = np.array([ev.point for ev in stream if ev.sign > 0])
         deletes = np.array([ev.point for ev in stream if ev.sign < 0])
@@ -337,7 +365,7 @@ class TestServiceEndToEnd:
         and leaving a partially-applied batch behind.  The server must now
         answer a clean error envelope with *zero* events applied and keep
         both the connection and the state healthy."""
-        config = ServiceConfig(k=3, d=2, delta=64, num_shards=2, seed=1)
+        config = ServiceConfig(k=3, d=2, delta=64, seed=1)
         with serving(TenantRegistry(config)) as (host, port):
             with ServiceClient(host, port) as cli:
                 for bad in ([[3, 3], [1, -1]],   # negative coordinate
@@ -355,7 +383,7 @@ class TestServiceEndToEnd:
         """Regression: the handler read request lines with an unbounded
         ``readline()``, so one newline-free client could balloon server
         memory.  Over-long frames now get an error envelope and a close."""
-        config = ServiceConfig(k=3, d=2, delta=64, num_shards=2, seed=1)
+        config = ServiceConfig(k=3, d=2, delta=64, seed=1)
         with serving(TenantRegistry(config),
                      max_request_bytes=2048) as (host, port):
             with socket.create_connection((host, port), timeout=10) as sock:
@@ -375,7 +403,7 @@ class TestServiceEndToEnd:
                 assert json.loads(fh.readline())["ok"] is True
 
     def test_malformed_requests_get_error_responses(self, world):
-        config = ServiceConfig(k=3, d=2, delta=64, num_shards=2, seed=1)
+        config = ServiceConfig(k=3, d=2, delta=64, seed=1)
         with serving(TenantRegistry(config)) as (host, port):
             with socket.create_connection((host, port), timeout=10) as sock:
                 fh = sock.makefile("rwb")
@@ -397,7 +425,7 @@ class TestServiceEndToEnd:
         there — three such queries opened the tenant's circuit breaker —
         or was silently coerced.  Both fields are now vetted as protocol
         errors, which never reach the breaker."""
-        config = ServiceConfig(k=2, d=2, delta=32, num_shards=1, seed=3,
+        config = ServiceConfig(k=2, d=2, delta=32, seed=3,
                                o_range=(1.0, 8.0), restarts=1)
         pts = np.random.default_rng(0).integers(0, 33, size=(40, 2))
         with serving(TenantRegistry(config)) as (host, port):
@@ -417,6 +445,24 @@ class TestServiceEndToEnd:
                 assert cli.query()["capacity"] > 0
                 rows = cli.request("tenants", live_only=False)["tenants"]
                 assert [r["stream_id"] for r in rows] == ["default"]
+
+    def test_huge_finite_slack_answers_over_the_wire(self):
+        """Regression: a finite slack passes the wire check, but slack·W/k
+        overflowed in the solve, so each such query failed and counted
+        against the tenant's breaker.  Capacity is now capped at W."""
+        config = ServiceConfig(k=2, d=2, delta=32, seed=3,
+                               o_range=(1.0, 8.0), restarts=1)
+        pts = np.random.default_rng(0).integers(0, 33, size=(40, 2))
+        with serving(TenantRegistry(config)) as (host, port):
+            with ServiceClient(host, port) as cli:
+                assert cli.insert(pts) == len(pts)
+                for _ in range(3):
+                    huge = cli.query(capacity_slack=1e308)
+                at_k = cli.query(capacity_slack=2.0)
+                assert huge["capacity"] >= at_k["capacity"] > 0
+                assert huge["centers"] == at_k["centers"]
+                assert huge["cost"] == at_k["cost"]
+                assert cli.stats()["breaker"]["state"] == "closed"
 
 
 def test_handler_table_covers_exactly_the_protocol_ops():

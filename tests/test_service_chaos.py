@@ -30,6 +30,7 @@ from repro.service import (
     start_async_server,
 )
 from repro.service.faults import FaultPlan, FaultRule
+from tests.shard_oracle import routed_state
 
 
 def _canonical(d: dict) -> str:
@@ -63,11 +64,18 @@ def test_chaos_run_is_bit_identical_to_fault_free_reference(tmp_path):
     assert all(len(c) >= 10 for c in deletes)
 
     config = ServiceConfig(k=3, d=2, delta=256, workers=2, seed=17)
-    # Fault-free single-tenant reference: the in-process backend is
-    # bit-identical to the worker pool (test_service_parallel), so it is
-    # the oracle for "no event lost, none double-counted".
+    # Fault-free single-tenant reference: the in-process backend answers
+    # exactly as the worker pool (test_service_parallel), so it is the
+    # oracle for the ledger and the answer; the pool's shards must equal
+    # in-process drivers fed its routing, byte for byte.
     reference = ClusteringService(
-        ServiceConfig(k=3, d=2, delta=256, num_shards=2, workers=0, seed=17))
+        ServiceConfig(k=3, d=2, delta=256, workers=0, seed=17))
+    ops = ([(c, 1) for c in inserts[:8]] + [(c, -1) for c in deletes]
+           + [(c, 1) for c in inserts[8:]])
+    want_state = routed_state(
+        config.make_params(), np.concatenate([c for c, _ in ops]),
+        np.concatenate([np.full(len(c), s) for c, s in ops]), 2,
+        version=len(ops), seed=17)
 
     faults.install(CHAOS_PLAN)
     registry = TenantRegistry(config)
@@ -105,18 +113,18 @@ def test_chaos_run_is_bit_identical_to_fault_free_reference(tmp_path):
             stats = cli.stats()
             ref_stats = reference.stats()
             for key in ("events", "insertions", "deletions", "live_points",
-                        "version", "events_per_shard", "bytes_ingested"):
+                        "version", "bytes_ingested"):
                 assert stats[key] == ref_stats[key], key
+            assert stats["events_per_shard"] == want_state["events_per_shard"]
             assert stats["restarts"] >= 2
             assert len(stats["recovery_events"]) >= 2
             assert stats["fault_plan"]["fire_counts"] == fires
 
             # Bit-identical sketches: the faulted service's checkpoint
-            # carries exactly the reference's serialized shard state.
+            # carries exactly the fault-free serialized shard states.
             cli.checkpoint(final_ckpt)
             payload = json.loads(final_ckpt.read_text(encoding="utf-8"))
-            assert (_canonical(payload["ingest"])
-                    == _canonical(reference.ingest.to_state_dict()))
+            assert _canonical(payload["ingest"]) == _canonical(want_state)
 
             # And identical answers: the solved clustering matches field
             # for field (same merged sketch, same seeded solver).

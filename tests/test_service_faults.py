@@ -36,7 +36,6 @@ from repro.service import (
     ServiceDegraded,
     ServiceError,
     ServiceUnavailable,
-    ShardedIngest,
     SupervisedWorkerPool,
     TenantRegistry,
     WorkerDied,
@@ -47,6 +46,8 @@ from repro.service import (
 from repro.service.faults import FaultPlan, FaultRule, InjectedFault, fault_point
 from repro.service.protocol import IdempotencyCache, ProtocolError, parse_idempotency
 from repro.service.supervisor import CircuitBreaker
+from repro.streaming.stream import events_to_arrays
+from tests.shard_oracle import routed_state
 
 
 @pytest.fixture(autouse=True)
@@ -71,6 +72,12 @@ def _canonical(state_dict: dict) -> str:
 
 def _chunks(seq, size):
     return [seq[i: i + size] for i in range(0, len(seq), size)]
+
+
+def _reference(params, stream, batches):
+    """The state of an unfaulted 2-worker pool fed ``batches``."""
+    rows, signs = events_to_arrays(stream, d=2)
+    return routed_state(params, rows, signs, 2, version=len(batches), seed=9)
 
 
 # =========================================================== the plan engine
@@ -140,8 +147,7 @@ class TestCheckpointFaults:
             self, world, tmp_path):
         stream, _ = world
         path = tmp_path / "svc.ckpt.json"
-        with ClusteringService(ServiceConfig(k=3, d=2, delta=64,
-                                             num_shards=2, seed=7)) as svc:
+        with ClusteringService(ServiceConfig(k=3, d=2, delta=64, seed=7)) as svc:
             svc.apply_events(stream[:100])
             svc.checkpoint(path)
             before = path.read_bytes()
@@ -169,12 +175,10 @@ class TestSupervisedRecovery:
         in-process reference, byte for byte."""
         stream, params = world
         batches = _chunks(stream, 60)
-        reference = ShardedIngest(params, num_shards=2, seed=9)
         with SupervisedWorkerPool(params, num_workers=2, seed=9,
                                   checkpoint_every_batches=3) as pool:
             for i, batch in enumerate(batches):
                 pool.apply_batch(batch)
-                reference.apply_batch(batch)
                 if i == len(batches) // 2:
                     victim = pool._procs[0]
                     os.kill(victim.pid, signal.SIGKILL)
@@ -185,7 +189,7 @@ class TestSupervisedRecovery:
             event = pool.recovery_events[0]
             assert event["shard"] == 0
             assert event["exitcode"] == -signal.SIGKILL
-        assert _canonical(got) == _canonical(reference.to_state_dict())
+        assert _canonical(got) == _canonical(_reference(params, stream, batches))
 
     def test_soft_crash_via_fault_plan_recovers(self, world):
         """A worker that errors out and exits (the poisoned-shard shape)
@@ -193,15 +197,14 @@ class TestSupervisedRecovery:
         stream, params = world
         faults.install(FaultPlan([FaultRule(point="worker.kill", mode="soft",
                                             after=4)]))
-        reference = ShardedIngest(params, num_shards=2, seed=9)
+        batches = _chunks(stream, 50)
         with SupervisedWorkerPool(params, num_workers=2, seed=9) as pool:
-            for batch in _chunks(stream, 50):
+            for batch in batches:
                 pool.apply_batch(batch)
-                reference.apply_batch(batch)
             got = pool.to_state_dict()
             assert sum(pool.restart_counts) == 1
         assert faults.active_plan().fire_counts() == {"worker.kill": 1}
-        assert _canonical(got) == _canonical(reference.to_state_dict())
+        assert _canonical(got) == _canonical(_reference(params, stream, batches))
 
     def test_unsupervised_pool_raises_worker_died(self, world):
         _, params = world
@@ -322,7 +325,7 @@ def _stop(registry, server, thread):
 
 
 class TestResilientClient:
-    CONFIG = ServiceConfig(k=2, d=2, delta=32, num_shards=2, seed=13)
+    CONFIG = ServiceConfig(k=2, d=2, delta=32, seed=13)
 
     def test_unreachable_raises_typed_error(self):
         with socket.socket() as probe:
@@ -466,7 +469,7 @@ class TestCircuitBreaker:
         structured degraded envelope, the tenants-row flag, and recovery
         after cooldown."""
         registry = TenantRegistry(
-            ServiceConfig(k=2, d=2, delta=32, num_shards=2, seed=13),
+            ServiceConfig(k=2, d=2, delta=32, seed=13),
             breaker_threshold=2, breaker_cooldown_s=0.5)
         server, _ = start_async_server(registry)
         host, port = server.address
@@ -502,7 +505,7 @@ class TestCircuitBreaker:
         from repro.service import TenantQuota
 
         registry = TenantRegistry(
-            ServiceConfig(k=2, d=2, delta=32, num_shards=2, seed=13),
+            ServiceConfig(k=2, d=2, delta=32, seed=13),
             quota=TenantQuota(max_events=1), breaker_threshold=1)
         try:
             registry.insert("t", np.array([[1, 1]]))
@@ -524,7 +527,7 @@ class TestEvictionFaults:
         """A full disk at eviction time must not lose the victim's events:
         it stays in memory (budget overshoots) and the failure is surfaced."""
         registry = TenantRegistry(
-            ServiceConfig(k=2, d=2, delta=32, num_shards=2, seed=13),
+            ServiceConfig(k=2, d=2, delta=32, seed=13),
             tenants_dir=tmp_path / "tenants", max_live_tenants=1)
         try:
             registry.insert("a", np.array([[1, 1], [2, 2]]))

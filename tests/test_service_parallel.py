@@ -1,12 +1,11 @@
 """Tests for the process-parallel ingest backend (repro.service.workers).
 
-The load-bearing claim: a :class:`WorkerPoolIngest` is *bit-identical* to
-the in-process :class:`ShardedIngest` — every worker builds its shard from
-the shared ``(params, seed)``, sees exactly the events the in-process
-backend would route to the same shard in the same order, and the fan-in
-reuses the same serialized-state codec and exact linear-sketch merge.  So
-the two backends must agree not just on coreset contents but on the full
-serialized state, byte for byte.
+The load-bearing claim: every worker builds its shard from the shared
+``(params, seed)`` and sees exactly the events the pool routes to it, in
+order, so each shard is *bit-identical* to an in-process driver fed the
+same routed events (:func:`tests.shard_oracle.routed_drivers`), down to
+the serialized state bytes; and the pool's fold answers exactly as the
+in-process :class:`ShardedIngest` that saw the whole stream.
 """
 
 from __future__ import annotations
@@ -28,6 +27,8 @@ from repro.service import (
     streaming_state_to_dict,
 )
 from repro.streaming import StreamingCoreset, materialize
+from repro.streaming.stream import events_to_arrays
+from tests.shard_oracle import routed_drivers, routed_state
 
 
 @pytest.fixture(scope="module")
@@ -50,18 +51,20 @@ def _coreset_points(cs):
 
 class TestParallelDeterminism:
     def test_four_workers_bit_identical_to_inprocess(self, world):
-        """4 worker processes == 4 in-process shards, down to the serialized
-        state bytes (same routing, same per-shard event order, same merge)."""
+        """4 worker processes == 4 in-process drivers fed the pool's
+        routing, down to the serialized state bytes (same per-shard event
+        order, same fold)."""
         stream, _, params = world
-        inproc = ShardedIngest(params, num_shards=4, seed=9)
-        inproc.apply_batch(stream)
+        rows, signs = events_to_arrays(stream, d=2)
+        want_state = routed_state(params, rows, signs, 4, version=1, seed=9)
         with WorkerPoolIngest(params, num_workers=4, seed=9) as pool:
             assert pool.apply_batch(stream) == len(stream)
-            assert pool.events_per_shard == inproc.events_per_shard
+            assert pool.events_per_shard == want_state["events_per_shard"]
             pool_state = pool.to_state_dict()
             pool_merged = pool.merged_state()
-        assert _canonical(pool_state) == _canonical(inproc.to_state_dict())
-        want = inproc.merged_state()
+        assert _canonical(pool_state) == _canonical(want_state)
+        drivers, _ = routed_drivers(params, rows, signs, 4, seed=9)
+        want = ShardedIngest.from_shards(drivers).driver
         assert (_canonical(streaming_state_to_dict(pool_merged))
                 == _canonical(streaming_state_to_dict(want)))
 
@@ -81,12 +84,12 @@ class TestParallelDeterminism:
 
     def test_query_results_identical_across_backends(self, world):
         """The full service answer (centers, cost, chosen o) is bit-identical
-        between workers=N and the serial num_shards=N configuration."""
+        between workers=N and the in-process workers=0 configuration."""
         stream, _, _ = world
         with ClusteringService(
                 ServiceConfig(k=3, d=2, delta=64, workers=4, seed=17)) as par, \
             ClusteringService(
-                ServiceConfig(k=3, d=2, delta=64, num_shards=4, workers=0,
+                ServiceConfig(k=3, d=2, delta=64, workers=0,
                               seed=17)) as ser:
             par.apply_events(stream)
             ser.apply_events(stream)
@@ -148,10 +151,11 @@ class TestWorkerCheckpointRestore:
             svc.checkpoint(ckpt)
         payload = read_json(ckpt)
         payload["config"]["workers"] = 0
-        payload["config"]["num_shards"] = 2
         (tmp_path / "inproc.ckpt.json").write_text(json.dumps(payload))
         twin = ClusteringService.restore(tmp_path / "inproc.ckpt.json")
         assert isinstance(twin.ingest, ShardedIngest)
+        # The two shards were folded into the one driver.
+        assert (twin.ingest.num_shards, twin.ingest.num_events) == (1, len(stream))
         got, _ = twin.query()
         assert np.array_equal(got.centers, want.centers)
         assert got.cost == want.cost and got.o == want.o

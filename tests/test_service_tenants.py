@@ -44,7 +44,7 @@ from repro.service.state import (
 # Small-but-real problem shape: 4 guess instances instead of 22, so a
 # tenant costs ~50 ms to create and ~10 ms to query — cheap enough to host
 # a hundred of them in one test.
-CHEAP = dict(k=2, d=2, delta=32, num_shards=1, seed=11,
+CHEAP = dict(k=2, d=2, delta=32, seed=11,
              o_range=(1.0, 8.0), restarts=1)
 
 

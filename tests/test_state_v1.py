@@ -51,7 +51,7 @@ def test_v1_table_equals_a_fresh_v2_replay(v1, expected):
         (fresh.insert if op == "insert" else fresh.delete)(np.asarray(rows))
     got = restored.state_payload()
     assert got["format_version"] == STATE_FORMAT_VERSION == 2
-    tables = [[streaming_state_to_dict(sh)["table"] for sh in s.ingest.shards]
+    tables = [streaming_state_to_dict(s.ingest.driver)["table"]
               for s in (restored, fresh)]
     assert tables[0] == tables[1]
     assert _answer(restored) == _answer(fresh) == expected["answer"]

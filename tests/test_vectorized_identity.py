@@ -31,9 +31,11 @@ from repro.service.protocol import ProtocolError, parse_points
 from repro.service.shards import ShardedIngest
 from repro.service.state import streaming_state_to_dict
 from repro.streaming.sketch import DecodeFailure, IBLTSketch
+from repro.streaming.stream import events_to_arrays
 from repro.streaming.storing import ExactStoring
 from repro.streaming.streaming_coreset import StreamingCoreset
 from repro.utils.validation import FailedConstruction
+from tests.shard_oracle import routed_drivers
 
 
 # --------------------------------------------------------------------------
@@ -246,9 +248,12 @@ class TestDriverBitIdentity:
 
 
 class TestWorkerPoolBitIdentity:
-    """The ndarray ``abatch`` worker frames must reproduce the in-process
-    shard state byte for byte, on both storing backends.  (The exact
-    backend is also covered end-to-end in test_service_parallel.py.)"""
+    """The ndarray ``abatch`` worker frames must reproduce, shard by shard
+    and byte for byte, in-process drivers fed the pool's routing, on both
+    storing backends.  (The comparison stays per shard: on the sketch
+    backend a fold's IBLT first-touch order differs from a one-driver
+    replay's.  The exact backend is also covered end-to-end in
+    test_service_parallel.py.)"""
 
     @pytest.mark.parametrize("backend", ["exact", "sketch"])
     def test_two_workers_match_inprocess(self, backend):
@@ -258,17 +263,20 @@ class TestWorkerPoolBitIdentity:
                                          eps=0.45, eta=0.45)
         events = _churn_events(80, 11, 64)
         kw = dict(seed=5, backend=backend, o_range=(8.0, 64.0))
-        serial = ShardedIngest(params, num_shards=2, **kw)
+        rows, signs = events_to_arrays(events, d=2)
+        drivers, counts = routed_drivers(params, rows, signs, 2, **kw)
         pool = WorkerPoolIngest(params, num_workers=2, **kw)
         try:
             for lo in range(0, len(events), 32):
-                serial.apply_batch(events[lo: lo + 32])
                 pool.apply_batch(events[lo: lo + 32])
             pool.worker_stats()  # drain barrier
-            assert (json.dumps(pool.to_state_dict(), sort_keys=True)
-                    == json.dumps(serial.to_state_dict(), sort_keys=True))
+            state = pool.to_state_dict()
         finally:
             pool.close()
+        assert state["events_per_shard"] == counts
+        assert (json.dumps(state["shards"], sort_keys=True)
+                == json.dumps([streaming_state_to_dict(d) for d in drivers],
+                              sort_keys=True))
 
 
 # --------------------------------------------------------------------------
@@ -294,7 +302,7 @@ class TestNonIntegralRejection:
         assert before == after  # nothing ingested from the bad batch
 
     def test_sharded_insert_rejects(self, params):
-        ing = ShardedIngest(params, num_shards=2, seed=0, o_range=(8.0, 64.0))
+        ing = ShardedIngest(params, seed=0, o_range=(8.0, 64.0))
         with pytest.raises(ValueError, match="integral"):
             ing.insert_points([[1.5, 2.0]])
         assert ing.num_events == 0 and ing.version == 0
